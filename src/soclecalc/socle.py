@@ -1,12 +1,20 @@
 """Socle intersection numbers: the closed product formula, the necklace
-(wheel) evaluation, and the string-equation engine that connects them.
+evaluation, and the string-equation engine that connects them.
 
 Two fully independent evaluation paths are provided.  faber() is the
 closed formula in Bernoulli, factorial and double-factorial data.  The
 necklace path reduces a query with the string equation until each branch
 reaches the canonical shape (exactly one zero exponent, the rest
-positive) and evaluates that shape through the oriented-wheel sum over
-three-point ramification-cycle integrals.
+positive) and evaluates that shape through necklace_lhs, the wheel sum of
+three-point ramification-cycle integrals in its collapsed form: a product
+of unit-multiplicity integrals dr_standard(d_i - 1), one per positive
+exponent.  The necklace path uses only ramification-cycle data, never
+faber().  Socle values are symmetric in d, so the string recursion is
+memoized on the exponent list sorted in non-increasing order.
+
+The literal oriented-wheel sum (iter_wheels) is kept only as the oracle
+for the collapse identity: wheel_collapse_check compares it with
+necklace_lhs, and nothing on the evaluation path enumerates wheels.
 
 Domain caveat, established by exact computation and documented in the
 test suite: the two paths agree for every query with at most one zero
@@ -24,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import prod
 from typing import Iterator, Sequence
 
@@ -152,8 +160,32 @@ def faber(q: SocleQuery) -> Fraction:
     return value
 
 
-@lru_cache(maxsize=None)
-def _necklace_lhs(g: int, d: tuple[int, ...]) -> Fraction:
+def necklace_lhs(g: int, d: Sequence[int]) -> Fraction:
+    """The wheel sum of a canonical query's positive exponents, evaluated
+    in collapsed form as prod(dr_standard(d_i - 1)).
+
+    The literal sum runs over the oriented wheels on m = len(d) vertices
+    with genera summing to g-1; a wheel contributes the product of its
+    per-vertex unit-multiplicity integrals when every vertex genus equals
+    its exponent minus one, and zero otherwise, and the sum is divided by
+    (m-1)!.  The filter leaves (m-1)! identical summands (the collapse
+    identity), so the value is the product above.  The identity is
+    checked against the literal sum by wheel_collapse_check; this
+    function uses only ramification-cycle data and enumerates no wheels.
+    """
+    d = tuple(int(x) for x in d)
+    if not d or any(x < 1 for x in d):
+        raise ValueError(f"need m >= 1 positive exponents, got {d}")
+    if sum(x - 1 for x in d) != g - 1:
+        raise DimensionError(
+            f"sum(d_i - 1) = {sum(x - 1 for x in d)} but g-1 = {g - 1}"
+        )
+    return prod((dr_standard(x - 1) for x in d), start=Fraction(1))
+
+
+def _literal_wheel_sum(g: int, d: tuple[int, ...]) -> Fraction:
+    # the oracle side of wheel_collapse_check: every oriented wheel, each
+    # vertex integral evaluated afresh by the closed three-point formula
     total = Fraction(0)
     m = len(d)
     for wheel in iter_wheels(m, g - 1):
@@ -165,27 +197,6 @@ def _necklace_lhs(g: int, d: tuple[int, ...]) -> Fraction:
             term *= dr3_closed(wheel.genera[i], 1, -1)
         total += term
     return total / factorial(m - 1)
-
-
-def necklace_lhs(g: int, d: Sequence[int]) -> Fraction:
-    """Literal oriented-wheel sum with the dimension filter applied:
-    a wheel contributes the product of per-vertex unit-multiplicity
-    integrals when every vertex genus equals its exponent minus one, and
-    zero otherwise; the sum is divided by (m-1)!.
-
-    The collapse identity (the filter leaves (m-1)! identical summands)
-    makes this equal to prod(dr_standard(d_i - 1)); that equality is a
-    verification target (wheel_collapse_check), not an implementation
-    shortcut.
-    """
-    d = tuple(int(x) for x in d)
-    if not d or any(x < 1 for x in d):
-        raise ValueError(f"need m >= 1 positive exponents, got {d}")
-    if sum(x - 1 for x in d) != g - 1:
-        raise DimensionError(
-            f"sum(d_i - 1) = {sum(x - 1 for x in d)} but g-1 = {g - 1}"
-        )
-    return _necklace_lhs(g, d)
 
 
 def necklace_socle(g: int, d: Sequence[int]) -> Fraction:
@@ -232,8 +243,14 @@ def string_apply(g: int, d: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+def _canonical(d: Sequence[int]) -> tuple[int, ...]:
+    # socle values are symmetric in d: one memo key per exponent multiset
+    return tuple(sorted(d, reverse=True))
+
+
 @lru_cache(maxsize=None)
 def _necklace_value(g: int, d: tuple[int, ...]) -> Fraction:
+    # d is canonical (non-increasing): d[0] is a largest exponent
     zeros = d.count(0)
     if d == (0,):
         # only valid at g=1; canonicalize through the identity query
@@ -245,25 +262,22 @@ def _necklace_value(g: int, d: tuple[int, ...]) -> Fraction:
         # canonical query string-reduces to this query plus sibling
         # branches, each strictly more concentrated (sum d_i^2 grows),
         # so the recursion terminates
-        k = max(range(len(d)), key=lambda i: (d[i], -i))
-        lifted = d[:k] + (d[k] + 1,) + d[k + 1 :]
+        lifted = (d[0] + 1,) + d[1:]
         value = _necklace_value(g, lifted + (0,))
-        for j in range(len(d)):
-            if j == k:
-                continue
+        for j in range(1, len(d)):
             branch = lifted[:j] + (lifted[j] - 1,) + lifted[j + 1 :]
-            value -= _necklace_value(g, branch)
+            value -= _necklace_value(g, _canonical(branch))
         return value
     # two or more zeros: keep applying the string equation
     return sum(
-        (_necklace_value(rg, rd) for rg, rd in string_apply(g, d)),
+        (_necklace_value(rg, _canonical(rd)) for rg, rd in string_apply(g, d)),
         Fraction(0),
     )
 
 
 def socle_necklace(q: SocleQuery) -> Fraction:
     """String-consistent evaluation through the necklace path."""
-    return _necklace_value(q.g, q.d)
+    return _necklace_value(q.g, _canonical(q.d))
 
 
 @dataclass(frozen=True)
@@ -358,21 +372,35 @@ def relation_integral_check(g: int, d: Sequence[int]) -> CheckResult:
 
 
 def wheel_collapse_check(g: int, d: Sequence[int]) -> CheckResult:
-    """Compare the literal wheel-sum evaluation of necklace_lhs with the
-    collapsed product of unit-multiplicity integrals."""
+    """Oracle for the collapse identity: compare the literal
+    oriented-wheel sum (lhs) with its collapsed form necklace_lhs (rhs)."""
     d = tuple(int(x) for x in d)
-    lhs = necklace_lhs(g, d)
-    rhs = prod((dr_standard(x - 1) for x in d), start=Fraction(1))
+    rhs = necklace_lhs(g, d)  # validates d before any wheel is built
+    lhs = _literal_wheel_sum(g, d)
     if lhs == rhs:
         return passed("socle.wheel_collapse", g=g, d=d)
     return failed("socle.wheel_collapse", {"lhs": lhs, "rhs": rhs}, g=g, d=d)
+
+
+def _nonincreasing(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
+    # non-increasing lists of `parts` integers in 0..cap summing to total,
+    # in descending lexicographic order; callers keep total <= parts * cap
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(min(total, cap), -1, -1):
+        if first * parts < total:
+            break
+        for rest in _nonincreasing(total - first, parts - 1, first):
+            yield (first,) + rest
 
 
 def iter_socle_queries(
     g_max: int, n_max: int, max_zeros: int | None = None
 ) -> Iterator[SocleQuery]:
     """All dimension-valid queries with g <= g_max and n <= n_max, one
-    representative per exponent multiset (values are symmetric in d).
+    representative per exponent multiset (values are symmetric in d):
+    d non-increasing, in descending lexicographic order per (g, n).
 
     max_zeros restricts the number of zero exponents; max_zeros=1 is the
     domain on which the closed formula and the necklace path provably
@@ -381,11 +409,7 @@ def iter_socle_queries(
     for g in range(1, g_max + 1):
         for n in range(1, n_max + 1):
             total = g - 2 + n
-            if total < 0:
-                continue
-            for d in combinations_with_replacement(range(total, -1, -1), n):
-                if sum(d) != total:
-                    continue
+            for d in _nonincreasing(total, n, total):
                 if max_zeros is not None and d.count(0) > max_zeros:
                     continue
                 yield SocleQuery(g, d)

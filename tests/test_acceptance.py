@@ -117,6 +117,36 @@ def test_criterion_1_companion_single_zero_domain():
     assert elapsed < 10
 
 
+def test_criterion_1_exhaustive_split_g10_n10():
+    """The exact agree/disagree split of criterion 1 on every
+    dimension-valid query with g <= 10, n <= 10: the two paths agree
+    exactly when d has at most one zero exponent."""
+    t0 = time.monotonic()
+    total = agree = 0
+    for q in iter_socle_queries(10, 10):
+        total += 1
+        r = socle_compute(q, "both")
+        assert r.agree == (q.d.count(0) <= 1), (q, r)
+        agree += r.agree
+    spot = {
+        (1, (0,)): Fraction(1, 24),
+        (2, (1,)): Fraction(1, 2880),
+        (2, (2, 0)): Fraction(1, 2880),
+    }
+    for (g, d), v in spot.items():
+        r = socle_compute(SocleQuery(g, d), "both")
+        assert r.faber_value == r.necklace_value == v, (g, d)
+    elapsed = time.monotonic() - t0
+    _report(
+        "1 (split, g<=10, n<=10)",
+        True,
+        f"{agree} of {total} queries agree, {total - agree} with >= 2 zeros "
+        f"disagree, {elapsed:.2f}s",
+    )
+    assert (total, agree, total - agree) == (4667, 1144, 3523)
+    assert elapsed < 5
+
+
 def test_criterion_2_dr_oracle_equivalence():
     t0 = time.monotonic()
     nontrivial = 0

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
-from math import prod
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 
 import pytest
 
+import soclecalc.socle as socle
 from soclecalc.drcycle import dr_standard
 from soclecalc.socle import (
     DimensionError,
@@ -169,6 +171,31 @@ def test_iter_socle_queries_census():
     assert len(list(iter_socle_queries(6, 6, max_zeros=1))) == 133
 
 
+def _filtered_listing(g_max, n_max, max_zeros=None):
+    # reference enumeration: every descending tuple over 0..g-2+n, kept
+    # when it sums to g-2+n
+    for g in range(1, g_max + 1):
+        for n in range(1, n_max + 1):
+            total = g - 2 + n
+            for d in combinations_with_replacement(range(total, -1, -1), n):
+                if sum(d) != total:
+                    continue
+                if max_zeros is not None and d.count(0) > max_zeros:
+                    continue
+                yield (g, d)
+
+
+@pytest.mark.parametrize("max_zeros", [None, 1])
+def test_iter_socle_queries_matches_filtered_listing(max_zeros):
+    for g_max in range(1, 8):
+        for n_max in range(1, 8):
+            got = [(q.g, q.d) for q in iter_socle_queries(g_max, n_max, max_zeros)]
+            assert got == list(_filtered_listing(g_max, n_max, max_zeros)), (
+                g_max,
+                n_max,
+            )
+
+
 def test_string_consistency_spec_anchors():
     # appended convention: sum(d) = g-1+n
     assert verify_string_consistency(3, (2, 2)).ok
@@ -227,3 +254,50 @@ def test_wheel_collapse_matches_product():
         assert necklace_lhs(g, d) == prod(
             (dr_standard(x - 1) for x in d), start=Fraction(1)
         )
+
+
+def test_wheel_oracle_is_not_vacuous(monkeypatch):
+    literal = socle.iter_wheels
+    seen = []
+
+    def counting(m, total_genus):
+        for wheel in literal(m, total_genus):
+            seen.append(wheel)
+            yield wheel
+
+    g, d = 4, (2, 1, 3)
+    m = len(d)
+    monkeypatch.setattr(socle, "iter_wheels", counting)
+    assert wheel_collapse_check(g, d).ok
+    assert len(seen) == factorial(m - 1) * comb(g - 2 + m, m - 1) == 20
+
+    target = tuple(x - 1 for x in d)
+
+    def dropping(m, total_genus):
+        return (w for w in literal(m, total_genus) if w.genera != target)
+
+    monkeypatch.setattr(socle, "iter_wheels", dropping)
+    res = wheel_collapse_check(g, d)
+    assert not res.ok
+    assert res.witness == {"lhs": 0, "rhs": necklace_lhs(g, d)}
+
+
+def test_evaluation_path_builds_no_wheels(monkeypatch):
+    queries = list(iter_socle_queries(5, 5))
+    values = [socle_compute(q, "necklace").value for q in queries]
+    relations = [
+        (g, d)
+        for g in range(1, 5)
+        for m in range(1, 4)
+        for d in _positive_lists(g - 1 + m, m)
+    ]
+    checks = [relation_integral_check(g, d) for g, d in relations]
+
+    def raising(m, total_genus):
+        raise AssertionError("the evaluation path enumerated wheels")
+
+    monkeypatch.setattr(socle, "iter_wheels", raising)
+    socle._necklace_value.cache_clear()
+    assert [socle_compute(q, "necklace").value for q in queries] == values
+    assert [relation_integral_check(g, d) for g, d in relations] == checks
+    assert all(c.ok for c in checks)
