@@ -25,7 +25,6 @@ from .elliptic import (
     weierstrass_expansion,
 )
 from .exact import (
-    ExactScalar,
     bernoulli,
     binomial,
     double_factorial_odd,

@@ -236,7 +236,7 @@ def suite_topweight(
     m_only: int | None = None,
 ) -> list[CheckResult]:
     checks = []
-    for g in range(1, min(g_max, 3) + 1):
+    for g in range(1, g_max + 1):
         if g_only is not None and g != g_only:
             continue
         for m in range(1, m_max + 1):
@@ -266,9 +266,7 @@ def run_suites(names, args) -> list[CheckResult]:
                 min(args.q_order, 8), min(args.w_order, 8)
             )
         elif name == "topweight":
-            checks += suite_topweight(
-                min(args.g_max, 3), args.m_max, args.g, args.m
-            )
+            checks += suite_topweight(args.g_max, args.m_max, args.g, args.m)
     return checks
 
 
@@ -352,6 +350,15 @@ def cmd_socle(args) -> int:
     except (ValueError, DimensionError) as exc:
         print(f"soclecalc socle: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    zeros = query.d.count(0)
+    if args.method == "faber" and zeros >= 2:
+        print(
+            "soclecalc socle: error: the closed formula is the socle value "
+            f"only on exponent lists with at most one zero; d has {zeros} "
+            "(use --method necklace or both)",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     result = socle_compute(query, args.method)
     payload = {
         "g": query.g,
@@ -396,6 +403,13 @@ def cmd_verify(args) -> int:
     )
     names = SUITES if args.suite == "all" else (args.suite,)
     checks = run_suites(names, args)
+    if not checks:
+        print(
+            f"soclecalc verify: error: suite {args.suite!r} ran no checks "
+            "for these parameters",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     config = asdict(cfg) | {"m_max": args.m_max, "samples": args.samples}
     print(render_report(args.suite, checks, cfg.fmt, config))
     return EXIT_OK if all(c.ok for c in checks) else EXIT_DISAGREE

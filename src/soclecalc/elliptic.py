@@ -67,9 +67,6 @@ class LaurentQW:
     def principal_part(self) -> dict[int, QSeries]:
         return {e: self.coefficient(e) for e in range(-self.pole_order, 0)}
 
-    def remove_principal_part(self) -> "LaurentQW":
-        return LaurentQW(0, self.coeffs[self.pole_order :])
-
     def __sub__(self, other: "LaurentQW") -> "LaurentQW":
         p = min(self.pole_order, other.pole_order)
         w = min(self.w_order, other.w_order)

@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "ExactScalar",
     "bernoulli",
     "binomial",
     "double_factorial_odd",
@@ -20,10 +19,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
 ]
-
-# The one scalar type of the package.  Integer-valued sequences return
-# plain ints; ints and Fractions mix exactly under Python arithmetic.
-ExactScalar = Fraction
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 _bernoulli_lock = threading.Lock()

@@ -2,9 +2,15 @@
 
 Provides basis enumeration by weight, exact evaluation of polynomials in
 the generators to truncated q-series, and the inverse problem: exact
-recognition of a truncated series as such a polynomial by Gaussian
-elimination over the rationals.  Recognition is the workhorse of the
-top-weight verification in the elliptic module.
+recognition of a truncated series as such a polynomial.  Recognition is
+the workhorse of the top-weight verification in the elliptic module.
+
+Both directions work on integer columns.  Each G_k beyond q^0 is a
+divisor sum, so den_k * G_k is an integer series (den_k = 24, 240, 504);
+every monomial G2^a G4^b G6^c is kept as the integer series of
+24^a 240^b 504^c times it, built from a cached monomial of one generator
+fewer.  Recognition solves the resulting integer system by Bareiss
+fraction-free elimination; only the solution is turned into fractions.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping
 
 from .exact import format_rational, parse_rational
@@ -84,10 +91,6 @@ class QuasimodularPoly:
 
     def weights(self) -> list[int]:
         return sorted({monomial_weight(m) for m, _ in self._terms})
-
-    def max_weight(self) -> int:
-        """Weight of the zero polynomial is defined as 0 here."""
-        return max((monomial_weight(m) for m, _ in self._terms), default=0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuasimodularPoly) and self._terms == other._terms
@@ -180,27 +183,54 @@ def basis(max_weight: int) -> list[Monomial]:
 
 
 @lru_cache(maxsize=None)
-def _generator_power(k: int, e: int, order: int) -> QSeries:
-    if e == 0:
-        return QSeries.constant(1, order)
-    return _generator_power(k, e - 1, order) * eisenstein(k, order)
+def _generator(k: int, order: int) -> tuple[int, tuple[int, ...]]:
+    """(den_k, den_k * G_k up to q^order as integers), where den_k is the
+    denominator of the constant term -B_k/(2k): 24, 240, 504 for k = 2,
+    4, 6.  Every coefficient beyond q^0 is a divisor sum, so the scaled
+    series is integral; that is checked here, not assumed."""
+    series = eisenstein(k, order)
+    den = series.coeffs[0].denominator
+    scaled = [c * den for c in series.coeffs]
+    if any(c.denominator != 1 for c in scaled):
+        raise ArithmeticError(f"{den} * G_{k} is not an integer series")
+    return den, tuple(c.numerator for c in scaled)
 
 
-def _monomial_series(mono: Monomial, order: int) -> QSeries:
-    a, b, c = mono
-    return (
-        _generator_power(2, a, order)
-        * _generator_power(4, b, order)
-        * _generator_power(6, c, order)
-    )
+@lru_cache(maxsize=None)
+def _column(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
+    """(scale, scale * G2^a G4^b G6^c up to q^order as integers), with
+    scale = 24^a 240^b 504^c.  Built as the cached column of the monomial
+    with one generator fewer (its last nonzero exponent lowered) times
+    that generator."""
+    if not any(mono):
+        return 1, (1,) + (0,) * order
+    j = max(i for i, e in enumerate(mono) if e)
+    lower = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
+    scale, col = _column(lower, order)
+    den, gen = _generator(2 * j + 2, order)
+    out = [0] * (order + 1)
+    for i, x in enumerate(col):
+        if x:
+            out[i:] = [o + x * y for o, y in zip(out[i:], gen)]
+    return scale * den, tuple(out)
 
 
 def evaluate(p: QuasimodularPoly, order: int) -> QSeries:
-    """Substitute the Eisenstein q-expansions and expand exactly."""
-    out = QSeries.zero(order)
+    """Substitute the Eisenstein q-expansions and expand exactly: the sum
+    of coeff/scale times the integer column of each monomial, over one
+    common denominator."""
+    terms = []
     for mono, coeff in p._terms:
-        out = out + _monomial_series(mono, order).scale(coeff)
-    return out
+        scale, col = _column(mono, order)
+        terms.append((coeff / scale, col))
+    den = lcm(*(c.denominator for c, _ in terms))
+    weighted = [(c.numerator * (den // c.denominator), col) for c, col in terms]
+    return QSeries(
+        tuple(
+            Fraction(sum(x * col[n] for x, col in weighted), den)
+            for n in range(order + 1)
+        )
+    )
 
 
 def graded_part(p: QuasimodularPoly, weight: int) -> QuasimodularPoly:
@@ -219,10 +249,12 @@ def fit(
     """Recognize a truncated series as a polynomial in G2, G4, G6.
 
     Matches the coefficients of q^0 .. q^order exactly against the span
-    of the weight <= max_weight monomials, by Gaussian elimination over
-    the rationals.  The system must be overdetermined by at least
-    `margin` surplus rows (a fit that merely interpolates proves
-    nothing); too small an order is an error, not a guess.
+    of the weight <= max_weight monomials: the right-hand side is scaled
+    to integers and the system is solved against the integer monomial
+    columns by Bareiss fraction-free elimination.  The system must be
+    overdetermined by at least `margin` surplus rows (a fit that merely
+    interpolates proves nothing); too small an order is an error, not a
+    guess.
 
     With free_constant=True the q^0 row is dropped and the pure-constant
     monomial is excluded, which is the mode for regularized series whose
@@ -251,49 +283,61 @@ def fit(
             f"{len(monos)} monomials; need margin >= {margin}"
         )
 
-    cols = [_monomial_series(m, s.order) for m in monos]
-    matrix = [[col.coeffs[n] for col in cols] for n in powers]
-    rhs = [s.coeffs[n] for n in powers]
+    cols = [_column(m, s.order) for m in monos]
+    matrix = [[col[n] for _, col in cols] for n in powers]
+    # the system in integers: matrix * (x_j / scale_j) = rhs / den
+    den = lcm(*(s.coeffs[n].denominator for n in powers))
+    rhs = [
+        s.coeffs[n].numerator * (den // s.coeffs[n].denominator) for n in powers
+    ]
 
-    coeffs, ok = _solve_exact(matrix, rhs)
+    w, det, ok = _solve_fraction_free(matrix, rhs)
     if not ok:
-        for n, row_power in enumerate(powers):
-            lhs = sum(matrix[n][j] * coeffs[j] for j in range(len(monos)))
-            if lhs != rhs[n]:
+        for row, b, row_power in zip(matrix, rhs, powers):
+            if sum(a * x for a, x in zip(row, w)) != det * b:
                 return FitInconsistency(row_power, max_weight)
         raise AssertionError("inconsistent solve reported but residual is zero")
+    coeffs = [Fraction(scale * x, den * det) for (scale, _), x in zip(cols, w)]
     return QuasimodularPoly(dict(zip(monos, coeffs)))
 
 
-def _solve_exact(matrix, rhs):
-    """Solve the overdetermined exact system A x = b.
+def _solve_fraction_free(matrix, rhs):
+    """Solve the overdetermined integer system A z = b by Bareiss
+    elimination, which keeps every entry an integer.
 
-    Returns (x, True) when x satisfies every row, (x, False) when the
-    pivot rows determine an x that fails some surplus row (the caller
-    reports the first failing q-power).  Raises if the columns are
-    linearly dependent, which cannot happen for distinct Eisenstein
-    monomials with enough rows.
+    Forward elimination runs over all rows; the pivot is the first
+    nonzero entry at or below the current row.  Bareiss entries are
+    nonzero multiples of the Gauss-Jordan entries, so the pivot rows are
+    the ones Gauss-Jordan picks.  Returns (w, det, consistent): det is the
+    determinant of the pivot rows, w = det * z is the integer solution of
+    the pivot rows, and consistent says whether z satisfies every
+    surplus row too.  Raises if the columns are linearly dependent, which
+    cannot happen for distinct Eisenstein monomials with enough rows.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        pr = next((i for i in range(c, nrows) if aug[i][c] != 0), None)
         if pr is None:
             raise ValueError("dependent monomial columns; increase the order")
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    x = [Fraction(0)] * ncols
-    for rr, cc in pivots:
-        x[cc] = aug[rr][ncols]
-    consistent = all(aug[i][ncols] == 0 for i in range(r, nrows))
-    return x, consistent
+        aug[c], aug[pr] = aug[pr], aug[c]
+        pivot_row = aug[c]
+        pv = pivot_row[c]
+        for i in range(c + 1, nrows):
+            row = aug[i]
+            f = row[c]
+            # exact: every entry is a minor of the row-permuted system
+            row[c:] = [
+                (pv * x - f * y) // prev for x, y in zip(row[c:], pivot_row[c:])
+            ]
+        prev = pv
+    det = prev
+    w = [0] * ncols
+    for r in reversed(range(ncols)):
+        row = aug[r]
+        acc = det * row[ncols] - sum(row[k] * w[k] for k in range(r + 1, ncols))
+        w[r] = acc // row[r]
+    consistent = all(aug[i][ncols] == 0 for i in range(ncols, nrows))
+    return w, det, consistent

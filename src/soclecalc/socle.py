@@ -294,7 +294,9 @@ class SocleResult:
 
     @property
     def value(self) -> Fraction:
-        v = self.faber_value if self.faber_value is not None else self.necklace_value
+        # the necklace value is the socle number on every list; the closed
+        # formula only on lists with at most one zero
+        v = self.necklace_value if self.necklace_value is not None else self.faber_value
         assert v is not None
         return v
 

@@ -51,6 +51,28 @@ def test_socle_disagreement_exit_code(capsys):
     assert "agree    = NO" in out
 
 
+def test_socle_value_outside_closed_formula_domain(capsys):
+    # two zero exponents: the reported value is the necklace value, and
+    # the closed formula alone is refused
+    code, out, _ = run(
+        capsys, "socle", "--g", "1", "--d", "2,0,0", "--format", "json"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["value"] == payload["necklace"] == "1/24"
+    assert payload["faber"] == "1/36"
+    code, out, err = run(
+        capsys, "socle", "--g", "1", "--d", "2,0,0", "--method", "faber"
+    )
+    assert code == 1
+    assert out == ""
+    assert "at most one zero" in err
+    code, out, _ = run(
+        capsys, "socle", "--g", "2", "--d", "2,0", "--method", "faber"
+    )
+    assert (code, out.strip()) == (0, "1/2880")
+
+
 def test_unknown_usage_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["socle", "--g", "2"])  # missing --d
@@ -80,6 +102,22 @@ def test_verify_topweight_restricted(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if "top_weight" in l]
     assert len(lines) == 3  # the three splits of m=3
+
+
+def test_verify_topweight_runs_requested_genus(capsys):
+    code, out, _ = run(
+        capsys, "verify", "topweight", "--g", "5", "--m", "1", "--format", "json"
+    )
+    assert code == 0
+    ids = [c["id"] for c in json.loads(out)["checks"]]
+    assert ids == ["elliptic.top_weight[g=5,j_plus=1,j_minus=0,q_order=21]"]
+
+
+def test_verify_without_checks_exits_one(capsys):
+    code, out, err = run(capsys, "verify", "topweight", "--g", "5", "--g-max", "4")
+    assert code == 1
+    assert out == ""
+    assert "ran no checks" in err
 
 
 def test_verify_all_deterministic_given_seed(capsys):

@@ -149,3 +149,111 @@ def test_poly_serialization_round_trip():
         {"exp": [0, 1, 0], "coeff": "5/6"},
     ]
     assert QuasimodularPoly.from_obj(obj) == p
+
+
+# ------------------------------------------------------------------
+# Reference recognition: Fraction column products and Gauss-Jordan
+# elimination over the rationals, kept here as the oracle of fit.
+
+
+def _ref_monomial_series(mono, order):
+    out = QSeries.constant(1, order)
+    for k, e in zip((2, 4, 6), mono):
+        for _ in range(e):
+            out = out * eisenstein(k, order)
+    return out
+
+
+def _ref_solve(matrix, rhs):
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        if pr is None:
+            raise ValueError("dependent monomial columns; increase the order")
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+    x = [Fraction(0)] * ncols
+    for rr, cc in pivots:
+        x[cc] = aug[rr][ncols]
+    consistent = all(aug[i][ncols] == 0 for i in range(r, nrows))
+    return x, consistent
+
+
+def _ref_fit(s, max_weight, free_constant, columns):
+    monos = basis(max_weight)
+    if free_constant:
+        monos = [m for m in monos if m != (0, 0, 0)]
+    powers = list(range(1 if free_constant else 0, s.order + 1))
+    cols = [columns[m] for m in monos]
+    matrix = [[col.coeffs[n] for col in cols] for n in powers]
+    rhs = [s.coeffs[n] for n in powers]
+    coeffs, ok = _ref_solve(matrix, rhs)
+    if not ok:
+        for n, row_power in enumerate(powers):
+            lhs = sum(matrix[n][j] * coeffs[j] for j in range(len(monos)))
+            if lhs != rhs[n]:
+                return FitInconsistency(row_power, max_weight)
+        raise AssertionError("inconsistent solve reported but residual is zero")
+    return QuasimodularPoly(dict(zip(monos, coeffs)))
+
+
+def test_fit_matches_gauss_jordan_reference():
+    rng = random.Random(20261018)
+    columns = {}  # order -> monomial -> reference column
+    seen = {"consistent": 0, "inconsistent": 0, "free": 0, "fixed": 0}
+    weights = set()
+    for trial in range(200):
+        weight = rng.choice((4, 6, 8, 10, 12))
+        free = trial % 2 == 1
+        monos = [m for m in basis(weight) if not (free and m == (0, 0, 0))]
+        order = len(monos) + (0 if free else -1) + 5 + rng.randint(0, 2)
+        if order not in columns:
+            columns[order] = {m: _ref_monomial_series(m, order) for m in basis(12)}
+        terms = {
+            m: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            for m in rng.sample(monos, k=rng.randint(1, len(monos)))
+        }
+        coeffs = [Fraction(0)] * (order + 1)
+        for m, c in terms.items():
+            for n, x in enumerate(columns[order][m].coeffs):
+                coeffs[n] += c * x
+        if trial % 4 >= 2:  # perturb one coefficient the fit reads
+            n = rng.randint(1 if free else 0, order)
+            bump = Fraction(rng.randint(1, 5), rng.randint(1, 7))
+            coeffs[n] += bump if rng.random() < 0.5 else -bump
+        s = QSeries(tuple(coeffs), constant_known=not free)
+        got = fit(s, weight, free_constant=free)
+        assert got == _ref_fit(s, weight, free, columns[order]), (trial, weight, free)
+        seen["inconsistent" if isinstance(got, FitInconsistency) else "consistent"] += 1
+        seen["free" if free else "fixed"] += 1
+        weights.add(weight)
+    assert weights == {4, 6, 8, 10, 12}
+    assert min(seen.values()) >= 50, seen
+
+
+def test_fit_and_top_weight_run_no_series_products(monkeypatch):
+    from soclecalc import modfit
+    from soclecalc.elliptic import top_weight_check
+
+    def forbidden(self, other):
+        raise AssertionError("QSeries product on the recognition path")
+
+    monkeypatch.setattr(QSeries, "__mul__", forbidden)
+    monkeypatch.setattr(QSeries, "__rmul__", forbidden)
+    modfit._column.cache_clear()
+    modfit._generator.cache_clear()
+    assert fit(q_d_q(eisenstein(2, 14)), 4) == QuasimodularPoly(
+        {(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)}
+    )
+    assert top_weight_check(5, 1, 4, 58).ok

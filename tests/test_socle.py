@@ -301,3 +301,11 @@ def test_evaluation_path_builds_no_wheels(monkeypatch):
     assert [socle_compute(q, "necklace").value for q in queries] == values
     assert [relation_integral_check(g, d) for g, d in relations] == checks
     assert all(c.ok for c in checks)
+
+
+def test_socle_value_prefers_necklace():
+    # outside the closed formula's domain the value is the necklace one
+    r = socle_compute(SocleQuery(1, (2, 0, 0)), "both")
+    assert (r.faber_value, r.necklace_value) == (Fraction(1, 36), Fraction(1, 24))
+    assert r.value == Fraction(1, 24)
+    assert socle_compute(SocleQuery(1, (2, 0, 0)), "faber").value == Fraction(1, 36)
