@@ -7,7 +7,6 @@ sums and quasimodular forms.
 """
 
 from .drcycle import (
-    DRQuery,
     dr2,
     dr3_bssz_check,
     dr3_closed,
@@ -59,7 +58,6 @@ from .socle import (
     string_apply,
     verify_string_consistency,
     wheel_collapse_check,
-    wheels_enumerate,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
 
 from .drcycle import dr3_bssz_check, dr3_closed, dr3_recursive, dr_standard
 from .elliptic import check_propagator_identity, top_weight_check
@@ -25,6 +24,7 @@ from .report import CheckResult, failed, jsonable, passed
 from .socle import (
     DimensionError,
     SocleQuery,
+    _compositions,
     iter_socle_queries,
     relation_integral_check,
     socle_compute,
@@ -32,26 +32,12 @@ from .socle import (
     wheel_collapse_check,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 ENV_PREFIX = "SOCLECALC_"
 SUITES = ("dr", "string", "relation", "propagator", "topweight")
+FORMATS = ("json", "csv", "markdown")
 EXIT_OK, EXIT_USAGE, EXIT_DISAGREE = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    q_order: int = 20
-    w_order: int = 8
-    g_max: int = 6
-    fmt: str = "markdown"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.q_order < 1 or self.w_order < 1:
-            raise ValueError("orders must be >= 1")
-        if self.fmt not in ("json", "csv", "markdown"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,15 +50,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    if isinstance(fallback, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise SystemExit(EXIT_USAGE)
-    return raw
+    # argparse applies an option's type= to a string default, and only in
+    # the subparser that owns the option, so a malformed value is a usage
+    # error of the subcommand that reads it
+    return os.environ.get(ENV_PREFIX + name, fallback)
+
+
+def _order(text: str) -> int:
+    """A truncation order: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -82,7 +74,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
-        choices=("json", "csv", "markdown"),
+        choices=FORMATS,
         default=_env_default("FORMAT", "markdown"),
     )
 
@@ -102,10 +94,10 @@ def build_parser() -> _Parser:
     )
     p_verify.add_argument("suite", choices=SUITES + ("all",))
     p_verify.add_argument(
-        "--q-order", type=int, default=_env_default("Q_ORDER", 20)
+        "--q-order", type=_order, default=_env_default("Q_ORDER", 20)
     )
     p_verify.add_argument(
-        "--w-order", type=int, default=_env_default("W_ORDER", 8)
+        "--w-order", type=_order, default=_env_default("W_ORDER", 8)
     )
     p_verify.add_argument("--g-max", type=int, default=_env_default("G_MAX", 6))
     p_verify.add_argument("--m-max", type=int, default=4)
@@ -133,7 +125,7 @@ def build_parser() -> _Parser:
 
 def suite_dr(g_max: int) -> list[CheckResult]:
     checks = []
-    for g in range(1, min(g_max, 8) + 1):
+    for g in range(1, g_max + 1):
         for a1 in range(-5, 6):
             for a2 in range(-5, 6):
                 c, r = dr3_closed(g, a1, a2), dr3_recursive(g, a1, a2)
@@ -146,7 +138,7 @@ def suite_dr(g_max: int) -> list[CheckResult]:
                             g=g, a1=a1, a2=a2,
                         )
                     )
-    for g in range(1, min(g_max, 6) + 1):
+    for g in range(1, g_max + 1):
         for a1 in range(1, 5):
             for a2 in range(1, 5):
                 checks.append(dr3_bssz_check(g, a1, a2))
@@ -161,24 +153,14 @@ def suite_dr(g_max: int) -> list[CheckResult]:
     return checks
 
 
-def _positive_lists(total: int, parts: int):
-    # ordered lists of positive integers with the given sum
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_lists(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def suite_string(g_max: int, n_max: int = 5) -> list[CheckResult]:
     # all-positive d with sum(d) = g-1+n, the domain where the appended
     # query is canonical and the consistency identity is a theorem
     checks = []
     for g in range(1, g_max + 1):
         for n in range(1, n_max + 1):
-            for d in _positive_lists(g - 1 + n, n):
+            for c in _compositions(g - 1, n):
+                d = tuple(x + 1 for x in c)
                 checks.append(verify_string_consistency(g, d))
     return checks
 
@@ -187,9 +169,10 @@ def suite_relation(
     g_max: int, m_max: int = 4, samples: int = 20, seed: int = 0
 ) -> list[CheckResult]:
     checks = []
-    for g in range(1, min(g_max, 5) + 1):
+    for g in range(1, g_max + 1):
         for m in range(1, m_max + 1):
-            for d in _positive_lists(g - 1 + m, m):
+            for c in _compositions(g - 1, m):
+                d = tuple(x + 1 for x in c)
                 checks.append(relation_integral_check(g, d))
     rng = random.Random(seed)
     for _ in range(samples):
@@ -230,7 +213,7 @@ def suite_propagator(q_order: int, w_order: int) -> list[CheckResult]:
 
 
 def suite_topweight(
-    g_max: int = 3,
+    g_max: int,
     m_max: int = 4,
     g_only: int | None = None,
     m_only: int | None = None,
@@ -262,9 +245,7 @@ def run_suites(names, args) -> list[CheckResult]:
                 args.g_max, args.m_max, args.samples, args.seed
             )
         elif name == "propagator":
-            checks += suite_propagator(
-                min(args.q_order, 8), min(args.w_order, 8)
-            )
+            checks += suite_propagator(args.q_order, args.w_order)
         elif name == "topweight":
             checks += suite_topweight(args.g_max, args.m_max, args.g, args.m)
     return checks
@@ -375,12 +356,7 @@ def cmd_socle(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        keys = list(payload)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(keys)
-        writer.writerow([payload[k] for k in keys])
-        print(buf.getvalue().rstrip("\n"))
+        print(_rows_to_output(list(payload), [list(payload.values())], "csv"))
     else:
         if args.method == "both":
             print(f"faber    = {format_rational(result.faber_value)}")
@@ -394,13 +370,6 @@ def cmd_socle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(
-        q_order=args.q_order,
-        w_order=args.w_order,
-        g_max=args.g_max,
-        fmt=args.format,
-        seed=args.seed,
-    )
     names = SUITES if args.suite == "all" else (args.suite,)
     checks = run_suites(names, args)
     if not checks:
@@ -410,8 +379,17 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    config = asdict(cfg) | {"m_max": args.m_max, "samples": args.samples}
-    print(render_report(args.suite, checks, cfg.fmt, config))
+    # the suites run exactly these parameters, so the echo is what ran
+    config = {
+        "q_order": args.q_order,
+        "w_order": args.w_order,
+        "g_max": args.g_max,
+        "fmt": args.format,
+        "seed": args.seed,
+        "m_max": args.m_max,
+        "samples": args.samples,
+    }
+    print(render_report(args.suite, checks, args.format, config))
     return EXIT_OK if all(c.ok for c in checks) else EXIT_DISAGREE
 
 
@@ -457,6 +435,12 @@ def cmd_table(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format not in FORMATS:
+        # choices= is not applied to a default, i.e. to SOCLECALC_FORMAT
+        parser.error(
+            f"{ENV_PREFIX}FORMAT: invalid choice: {args.format!r} "
+            f"(choose from {', '.join(FORMATS)})"
+        )
     try:
         if args.command == "socle":
             return cmd_socle(args)

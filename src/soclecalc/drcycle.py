@@ -9,7 +9,6 @@ self-check, so they share no code beyond rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,33 +16,12 @@ from .exact import double_factorial_odd, factorial
 from .report import CheckResult, failed, passed
 
 __all__ = [
-    "DRQuery",
     "dr2",
     "dr3_bssz_check",
     "dr3_closed",
     "dr3_recursive",
     "dr_standard",
 ]
-
-
-@dataclass(frozen=True)
-class DRQuery:
-    """Genus and the two free ramification multiplicities; the third
-    multiplicity is forced to -(a1+a2) by the zero-sum condition."""
-
-    g: int
-    a1: int
-    a2: int
-
-    @property
-    def a3(self) -> int:
-        return -self.a1 - self.a2
-
-    def closed(self) -> Fraction:
-        return dr3_closed(self.g, self.a1, self.a2)
-
-    def recursive(self) -> Fraction:
-        return dr3_recursive(self.g, self.a1, self.a2)
 
 
 def dr3_closed(g: int, a1: int, a2: int) -> Fraction:

@@ -56,9 +56,6 @@ class LaurentQW:
     def q_order(self) -> int:
         return self.coeffs[0].order
 
-    def exponents(self) -> range:
-        return range(-self.pole_order, self.w_order + 1)
-
     def coefficient(self, e: int) -> QSeries:
         if not -self.pole_order <= e <= self.w_order:
             raise IndexError(f"w^{e} outside window")

@@ -44,14 +44,12 @@ def bernoulli(k: int) -> Fraction:
     return _bernoulli_cache[k]
 
 
-@lru_cache(maxsize=None)
 def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial argument must be >= 0, got {n}")
     return math.factorial(n)
 
 
-@lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")

@@ -56,7 +56,6 @@ __all__ = [
     "string_apply",
     "verify_string_consistency",
     "wheel_collapse_check",
-    "wheels_enumerate",
 ]
 
 
@@ -126,19 +125,13 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def iter_wheels(m: int, total_genus: int) -> Iterator[Wheel]:
     """Stream the (m-1)! oriented cyclic orders times the compositions
-    of total_genus; used directly when materializing would be wasteful."""
+    of total_genus; the m=1 case is the single one-vertex loop wheel."""
     if m < 1 or total_genus < 0:
         raise ValueError("need m >= 1 and total_genus >= 0")
     for tail in permutations(range(2, m + 1)):
         cycle = (1,) + tail
         for genera in _compositions(total_genus, m):
             yield Wheel(cycle, genera)
-
-
-def wheels_enumerate(m: int, total_genus: int) -> list[Wheel]:
-    """All oriented necklaces on m vertices with genera summing to
-    total_genus; the m=1 case is the single one-vertex loop wheel."""
-    return list(iter_wheels(m, total_genus))
 
 
 def faber(q: SocleQuery) -> Fraction:

@@ -89,6 +89,18 @@ def test_verify_propagator_json_schema(capsys):
     assert any("propagator_identity" in i for i in ids)
     assert any("must_fail_with_divisor_power_k" in i for i in ids)
     assert payload["config"]["q_order"] == 20
+    # the echoed orders are the ones the checks ran at
+    assert all("[q_order=20,w_order=8" in i for i in ids)
+
+
+def test_verify_relation_runs_requested_genus(capsys):
+    code, out, _ = run(capsys, "verify", "relation", "--g-max", "6", "--format", "json")
+    assert code == 0
+    ids = [c["id"] for c in json.loads(out)["checks"]]
+    relation = [i for i in ids if i.startswith("socle.relation_integral[")]
+    # positive d of length m <= 4 with sum(d) = g-1+m, for g <= 6
+    assert len(relation) == 209
+    assert "socle.relation_integral[g=6,d=6]" in relation
 
 
 def test_verify_dr_all_pass(capsys):
@@ -136,6 +148,46 @@ def test_verify_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "string", "--format", "json")
     assert code == 0
     assert json.loads(out)["config"]["g_max"] == 2
+
+
+def test_malformed_env_value_only_breaks_its_reader(capsys, monkeypatch):
+    monkeypatch.setenv("SOCLECALC_SEED", "abc")
+    code, _, err = run(capsys, "table", "dr", "--g-max", "0", "--a-max", "0")
+    assert (code, err) == (0, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "dr", "--g-max", "1"])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["socle", "--g", "1", "--d", "0"],
+        ["verify", "dr", "--g-max", "1"],
+        ["table", "dr", "--g-max", "0", "--a-max", "0"],
+    ],
+)
+def test_env_format_is_checked(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SOCLECALC_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SOCLECALC_FORMAT" in captured.err and "'xml'" in captured.err
+
+
+def test_orders_must_be_positive(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "propagator", "--q-order", "0"])
+    assert exc.value.code == 1
+    assert "--q-order" in capsys.readouterr().err
+    monkeypatch.setenv("SOCLECALC_W_ORDER", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "propagator"])
+    assert exc.value.code == 1
+    assert "--w-order" in capsys.readouterr().err
 
 
 def test_table_socle_csv(capsys):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from soclecalc.drcycle import (
-    DRQuery,
     dr2,
     dr3_bssz_check,
     dr3_closed,
@@ -87,8 +86,3 @@ def test_dr_standard_closed_value():
     for g in range(0, 13):
         assert dr_standard(g) * double_factorial_odd(2 * g + 1) * 4**g == 1
 
-
-def test_drquery_record():
-    q = DRQuery(3, 2, 5)
-    assert q.a3 == -7
-    assert q.closed() == q.recursive() == dr3_closed(3, 2, 5)

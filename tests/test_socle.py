@@ -13,6 +13,7 @@ from soclecalc.socle import (
     Wheel,
     faber,
     iter_socle_queries,
+    iter_wheels,
     necklace_lhs,
     necklace_socle,
     relation_integral_check,
@@ -21,7 +22,6 @@ from soclecalc.socle import (
     string_apply,
     verify_string_consistency,
     wheel_collapse_check,
-    wheels_enumerate,
 )
 
 
@@ -58,15 +58,15 @@ def test_wheel_validation():
 
 
 def test_wheels_enumerate_counts():
-    w30 = wheels_enumerate(3, 0)
+    w30 = list(iter_wheels(3, 0))
     assert len(w30) == 2
     assert all(w.genera == (0, 0, 0) for w in w30)
-    assert len(wheels_enumerate(1, 2)) == 1
-    w21 = wheels_enumerate(2, 1)
+    assert len(list(iter_wheels(1, 2))) == 1
+    w21 = list(iter_wheels(2, 1))
     assert len(w21) == 2
     assert {w.genera for w in w21} == {(0, 1), (1, 0)}
     # (m-1)! orientations times compositions of the genus budget
-    assert len(wheels_enumerate(4, 2)) == 6 * 10
+    assert len(list(iter_wheels(4, 2))) == 6 * 10
 
 
 @pytest.mark.parametrize(
