@@ -17,7 +17,6 @@ from .elliptic import (
     LaurentQW,
     NecklaceCoefficientSeries,
     check_propagator_identity,
-    loop_coefficient,
     necklace_coefficient_series,
     propagator_expansion,
     top_weight_check,
@@ -40,7 +39,7 @@ from .modfit import (
     graded_part,
     monomial_weight,
 )
-from .qseries import QSeries, divisor_sigma, eisenstein, q_d_q
+from .qseries import QSeries, eisenstein, q_d_q
 from .report import CheckResult
 from .socle import (
     DimensionError,

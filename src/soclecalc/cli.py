@@ -56,15 +56,21 @@ def _env_default(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
-def _order(text: str) -> int:
-    """A truncation order: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(lo: int):
+    """argparse type= for a size flag: an integer >= lo."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lo}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -94,28 +100,34 @@ def build_parser() -> _Parser:
     )
     p_verify.add_argument("suite", choices=SUITES + ("all",))
     p_verify.add_argument(
-        "--q-order", type=_order, default=_env_default("Q_ORDER", 20)
+        "--q-order", type=_at_least(1), default=_env_default("Q_ORDER", 20)
     )
     p_verify.add_argument(
-        "--w-order", type=_order, default=_env_default("W_ORDER", 8)
+        "--w-order", type=_at_least(1), default=_env_default("W_ORDER", 8)
     )
-    p_verify.add_argument("--g-max", type=int, default=_env_default("G_MAX", 6))
-    p_verify.add_argument("--m-max", type=int, default=4)
-    p_verify.add_argument("--g", type=int, help="restrict to one genus")
-    p_verify.add_argument("--m", type=int, help="restrict to one edge count")
-    p_verify.add_argument("--samples", type=int, default=20)
+    p_verify.add_argument(
+        "--g-max", type=_at_least(1), default=_env_default("G_MAX", 6)
+    )
+    p_verify.add_argument("--m-max", type=_at_least(1), default=4)
+    p_verify.add_argument("--g", type=_at_least(1), help="restrict to one genus")
+    p_verify.add_argument(
+        "--m", type=_at_least(1), help="restrict to one edge count"
+    )
+    p_verify.add_argument("--samples", type=_at_least(0), default=20)
     p_verify.add_argument("--seed", type=int, default=_env_default("SEED", 0))
 
     p_table = sub.add_parser(
         "table", parents=[common], help="emit a golden value table"
     )
     p_table.add_argument("kind", choices=("socle", "dr", "eisenstein"))
-    p_table.add_argument("--g-max", type=int, default=_env_default("G_MAX", 3))
-    p_table.add_argument("--n-max", type=int, default=3)
-    p_table.add_argument("--a-max", type=int, default=3)
+    p_table.add_argument(
+        "--g-max", type=_at_least(0), default=_env_default("G_MAX", 3)
+    )
+    p_table.add_argument("--n-max", type=_at_least(1), default=3)
+    p_table.add_argument("--a-max", type=_at_least(0), default=3)
     p_table.add_argument("--k", default="2,4,6")
     p_table.add_argument(
-        "--order", type=int, default=_env_default("Q_ORDER", 10)
+        "--order", type=_at_least(0), default=_env_default("Q_ORDER", 10)
     )
     return parser
 

@@ -23,7 +23,6 @@ __all__ = [
     "LaurentQW",
     "NecklaceCoefficientSeries",
     "check_propagator_identity",
-    "loop_coefficient",
     "necklace_coefficient_series",
     "propagator_expansion",
     "top_weight_check",
@@ -52,28 +51,10 @@ class LaurentQW:
     def w_order(self) -> int:
         return len(self.coeffs) - 1 - self.pole_order
 
-    @property
-    def q_order(self) -> int:
-        return self.coeffs[0].order
-
     def coefficient(self, e: int) -> QSeries:
         if not -self.pole_order <= e <= self.w_order:
             raise IndexError(f"w^{e} outside window")
         return self.coeffs[e + self.pole_order]
-
-    def principal_part(self) -> dict[int, QSeries]:
-        return {e: self.coefficient(e) for e in range(-self.pole_order, 0)}
-
-    def __sub__(self, other: "LaurentQW") -> "LaurentQW":
-        p = min(self.pole_order, other.pole_order)
-        w = min(self.w_order, other.w_order)
-        return LaurentQW(
-            p,
-            tuple(
-                self.coefficient(e) - other.coefficient(e)
-                for e in range(-p, w + 1)
-            ),
-        )
 
 
 def _exp_plus_minus(a: int, w_order: int, scale: Fraction) -> list[Fraction]:
@@ -176,10 +157,6 @@ class NecklaceCoefficientSeries:
     j_minus: int
     series: QSeries
 
-    @property
-    def m(self) -> int:
-        return self.j_plus + self.j_minus
-
 
 def necklace_coefficient_series(
     g: int, j_plus: int, j_minus: int, q_order: int
@@ -260,15 +237,3 @@ def top_weight_check(
         },
         **params,
     )
-
-
-def loop_coefficient(g: int, q_order: int) -> QSeries:
-    """The single-vertex loop factor 2 (B_2g/(4g) + G_2g(q)).
-
-    The Bernoulli offset cancels the Eisenstein constant exactly, so the
-    q^0 coefficient is zero for every g.
-    """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    shift = QSeries.constant(bernoulli(2 * g) / (4 * g), q_order)
-    return (eisenstein(2 * g, q_order) + shift).scale(2)

@@ -21,7 +21,6 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping
 
-from .exact import format_rational, parse_rational
 from .qseries import QSeries, eisenstein
 
 __all__ = [
@@ -80,53 +79,11 @@ class QuasimodularPoly:
     def terms(self) -> dict[Monomial, Fraction]:
         return dict(self._terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        for m, c in self._terms:
-            if m == tuple(mono):
-                return c
-        return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def weights(self) -> list[int]:
-        return sorted({monomial_weight(m) for m, _ in self._terms})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QuasimodularPoly) and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(self._terms)
-
-    def __add__(self, other: "QuasimodularPoly") -> "QuasimodularPoly":
-        acc = dict(self._terms)
-        for m, c in other._terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return QuasimodularPoly(acc)
-
-    def __neg__(self) -> "QuasimodularPoly":
-        return QuasimodularPoly({m: -c for m, c in self._terms})
-
-    def __sub__(self, other: "QuasimodularPoly") -> "QuasimodularPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "QuasimodularPoly":
-        c = Fraction(c)
-        return QuasimodularPoly({m: c * x for m, x in self._terms})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, QuasimodularPoly):
-            return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in other._terms:
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return QuasimodularPoly(acc)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self._terms:
@@ -143,15 +100,6 @@ class QuasimodularPoly:
             body = "*".join(factors) if factors else "1"
             parts.append(body if coeff == 1 and factors else f"({coeff})*{body}")
         return " + ".join(parts)
-
-    def to_obj(self) -> list[dict]:
-        return [
-            {"exp": list(m), "coeff": format_rational(c)} for m, c in self._terms
-        ]
-
-    @classmethod
-    def from_obj(cls, obj: list[dict]) -> "QuasimodularPoly":
-        return cls({tuple(t["exp"]): parse_rational(t["coeff"]) for t in obj})
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import bernoulli, format_rational, parse_rational
+from .exact import bernoulli
 
 __all__ = [
     "QSeries",
-    "divisor_sigma",
     "eisenstein",
     "q_d_q",
 ]
@@ -57,11 +56,6 @@ class QSeries:
         if n == 0 and not self.constant_known:
             raise ValueError("q^0 coefficient of this series is unknown")
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return QSeries(self.coeffs[: order + 1], self.constant_known)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -103,33 +97,6 @@ class QSeries:
         return QSeries(tuple(out))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "QSeries":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("series power must be a non-negative integer")
-        out = QSeries.constant(1, self.order)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        """True when every known coefficient vanishes."""
-        start = 0 if self.constant_known else 1
-        return all(c == 0 for c in self.coeffs[start:])
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [format_rational(c) for c in self.coeffs],
-            "constant_known": self.constant_known,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "QSeries":
-        coeffs = tuple(parse_rational(c) for c in obj["coeffs"])
-        if len(coeffs) != obj["order"] + 1:
-            raise ValueError("order field disagrees with coefficient count")
-        return cls(coeffs, bool(obj.get("constant_known", True)))
 
     def __str__(self) -> str:
         parts = []

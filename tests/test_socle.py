@@ -282,6 +282,40 @@ def test_wheel_oracle_is_not_vacuous(monkeypatch):
     assert res.witness == {"lhs": 0, "rhs": necklace_lhs(g, d)}
 
 
+def test_wheel_oracle_limit(monkeypatch):
+    # the largest verify relation sample (g = 6, m = 5) stays below it
+    assert factorial(4) * comb(9, 4) == 3024 <= socle._MAX_WHEELS
+
+    def raising(m, total_genus):
+        raise AssertionError("a wheel was built above the limit")
+
+    monkeypatch.setattr(socle, "iter_wheels", raising)
+    g, d = 6, (2, 2, 2, 2, 2, 1, 1)
+    assert factorial(6) * comb(11, 6) == 332_640
+    with pytest.raises(ValueError, match="332640 wheels"):
+        wheel_collapse_check(g, d)
+
+
+def test_necklace_normalization_is_shared(monkeypatch):
+    # one constant serves the evaluator and the relation check: a wrong
+    # value fails the check and moves the necklace value off faber()
+    normalization = socle._necklace_normalization
+    monkeypatch.setattr(
+        socle, "_necklace_normalization", lambda g, m: 2 * normalization(g, m)
+    )
+    socle._necklace_value.cache_clear()
+    try:
+        res = relation_integral_check(3, (2, 2))
+        q = SocleQuery(3, (2, 2, 0))
+        value = socle_necklace(q)
+    finally:
+        socle._necklace_value.cache_clear()
+    lhs = necklace_lhs(3, (2, 2))
+    assert not res.ok
+    assert res.witness == {"lhs": lhs, "rhs": lhs / 2}
+    assert value == 2 * faber(q) != faber(q)
+
+
 def test_evaluation_path_builds_no_wheels(monkeypatch):
     queries = list(iter_socle_queries(5, 5))
     values = [socle_compute(q, "necklace").value for q in queries]
