@@ -15,7 +15,6 @@ from .drcycle import (
 )
 from .elliptic import (
     LaurentQW,
-    NecklaceCoefficientSeries,
     check_propagator_identity,
     necklace_coefficient_series,
     propagator_expansion,

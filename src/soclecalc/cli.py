@@ -382,6 +382,13 @@ def cmd_socle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite != "topweight" and (args.g is not None or args.m is not None):
+        print(
+            "soclecalc verify: error: --g and --m apply only to the "
+            f"topweight suite, not to {args.suite!r}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     names = SUITES if args.suite == "all" else (args.suite,)
     checks = run_suites(names, args)
     if not checks:
@@ -401,6 +408,9 @@ def cmd_verify(args) -> int:
         "m_max": args.m_max,
         "samples": args.samples,
     }
+    for x in ("g", "m"):
+        if getattr(args, x) is not None:
+            config[x] = getattr(args, x)
     print(render_report(args.suite, checks, args.format, config))
     return EXIT_OK if all(c.ok for c in checks) else EXIT_DISAGREE
 

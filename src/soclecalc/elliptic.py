@@ -21,7 +21,6 @@ from .report import CheckResult, failed, passed
 
 __all__ = [
     "LaurentQW",
-    "NecklaceCoefficientSeries",
     "check_propagator_identity",
     "necklace_coefficient_series",
     "propagator_expansion",
@@ -147,21 +146,12 @@ def check_propagator_identity(
     return passed("elliptic.propagator_identity", **params)
 
 
-@dataclass(frozen=True)
-class NecklaceCoefficientSeries:
-    """Coefficient series of an oriented necklace with j_plus edges
-    aligned with the orientation and j_minus against it."""
-
-    g: int
-    j_plus: int
-    j_minus: int
-    series: QSeries
-
-
 def necklace_coefficient_series(
     g: int, j_plus: int, j_minus: int, q_order: int
-) -> NecklaceCoefficientSeries:
-    """Exact truncation of the necklace coefficient sum
+) -> QSeries:
+    """Exact truncation of the coefficient series of an oriented
+    necklace with j_plus edges aligned with the orientation and j_minus
+    against it:
 
         sum_{a != 0} a^(2g-2) (a/(1-q^a))^j_plus (-a/(1-q^(-a)))^j_minus.
 
@@ -187,9 +177,7 @@ def necklace_coefficient_series(
                     continue  # divergent stratum, only reachable when j_minus=0
                 if pos <= q_order:
                     coeffs[pos] += c
-    return NecklaceCoefficientSeries(
-        g, j_plus, j_minus, QSeries(tuple(coeffs), constant_known=j_minus >= 1)
-    )
+    return QSeries(tuple(coeffs), constant_known=j_minus >= 1)
 
 
 def top_weight_check(
@@ -199,10 +187,10 @@ def top_weight_check(
     weight at most 2g-2+2m and that its top graded part equals
     (2/(m-1)!) (q d/dq)^(m-1) G_2g.
 
-    The fit runs in free-constant mode when j_minus = 0 (the regularized
-    constant is solved for, not asserted).  A fit inconsistency is
-    reported verbatim: at this truncation order it would falsify the
-    quasimodularity of the necklace coefficient.
+    When j_minus = 0 the series' constant is unknown, so the fit implies
+    the regularized constant instead of asserting it.  A fit
+    inconsistency is reported verbatim: at this truncation order it
+    would falsify the quasimodularity of the necklace coefficient.
     """
     m = j_plus + j_minus
     top_weight = 2 * g - 2 + 2 * m
@@ -213,8 +201,8 @@ def top_weight_check(
             f"{top_weight}"
         )
     params = {"g": g, "j_plus": j_plus, "j_minus": j_minus, "q_order": q_order}
-    ncs = necklace_coefficient_series(g, j_plus, j_minus, q_order)
-    result = fit(ncs.series, top_weight, free_constant=(j_minus == 0))
+    series = necklace_coefficient_series(g, j_plus, j_minus, q_order)
+    result = fit(series, top_weight)
     if isinstance(result, FitInconsistency):
         return failed(
             "elliptic.top_weight", {"fit_inconsistency": str(result)}, **params

@@ -37,6 +37,9 @@ __all__ = [
 # exponent triple (a, b, c) standing for G2^a * G4^b * G6^c
 Monomial = tuple[int, int, int]
 
+# surplus rows a fit needs beyond its unknowns
+_MARGIN = 5
+
 
 def monomial_weight(mono: Monomial) -> int:
     a, b, c = mono
@@ -188,25 +191,23 @@ def graded_part(p: QuasimodularPoly, weight: int) -> QuasimodularPoly:
     )
 
 
-def fit(
-    s: QSeries,
-    max_weight: int,
-    free_constant: bool = False,
-    margin: int = 5,
-) -> QuasimodularPoly | FitInconsistency:
+def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     """Recognize a truncated series as a polynomial in G2, G4, G6.
 
-    Matches the coefficients of q^0 .. q^order exactly against the span
-    of the weight <= max_weight monomials: the right-hand side is scaled
-    to integers and the system is solved against the integer monomial
-    columns by Bareiss fraction-free elimination.  The system must be
-    overdetermined by at least `margin` surplus rows (a fit that merely
-    interpolates proves nothing); too small an order is an error, not a
-    guess.
+    Matches the coefficients of q^1 .. q^order exactly against the span
+    of the non-constant monomials of weight <= max_weight: the
+    right-hand side is scaled to integers and the system is solved
+    against the integer monomial columns by Bareiss fraction-free
+    elimination.  The constant monomial 1 is zero beyond q^0, so it can
+    only absorb the q^0 row; the system therefore depends on
+    (max_weight, order) alone.  It must be overdetermined by at least
+    _MARGIN surplus rows (a fit that merely interpolates proves
+    nothing); too small an order is an error, not a guess.
 
-    With free_constant=True the q^0 row is dropped and the pure-constant
-    monomial is excluded, which is the mode for regularized series whose
-    q^0 coefficient is undefined: the returned polynomial then implies a
+    The mode is read off the series.  With s.constant_known the
+    coefficient of 1 is s[0] minus the q^0 value of the other terms.
+    Without it (a regularized series whose q^0 coefficient is
+    undefined) the polynomial has no constant term and implies a
     regularized constant, namely its own q^0 value.
 
     Returns the unique matching polynomial, or a FitInconsistency naming
@@ -214,21 +215,13 @@ def fit(
     """
     if max_weight < 0 or max_weight % 2:
         raise ValueError(f"max_weight must be even and >= 0, got {max_weight}")
-    if margin < 1:
-        raise ValueError("margin must be >= 1; zero-surplus fits are unverified")
-    if not s.constant_known and not free_constant:
-        raise ValueError(
-            "series has unknown q^0 coefficient; fit requires free_constant=True"
-        )
-    monos = basis(max_weight)
-    if free_constant:
-        monos = [m for m in monos if m != (0, 0, 0)]
-    powers = list(range(1 if free_constant else 0, s.order + 1))
+    monos = [m for m in basis(max_weight) if m != (0, 0, 0)]
+    powers = range(1, s.order + 1)
     surplus = len(powers) - len(monos)
-    if surplus < margin:
+    if surplus < _MARGIN:
         raise ValueError(
             f"series order {s.order} leaves surplus {surplus} rows for "
-            f"{len(monos)} monomials; need margin >= {margin}"
+            f"{len(monos)} non-constant monomials; need {_MARGIN}"
         )
 
     cols = [_column(m, s.order) for m in monos]
@@ -246,7 +239,13 @@ def fit(
                 return FitInconsistency(row_power, max_weight)
         raise AssertionError("inconsistent solve reported but residual is zero")
     coeffs = [Fraction(scale * x, den * det) for (scale, _), x in zip(cols, w)]
-    return QuasimodularPoly(dict(zip(monos, coeffs)))
+    terms = dict(zip(monos, coeffs))
+    if s.constant_known:
+        terms[(0, 0, 0)] = s[0] - sum(
+            (c * Fraction(col[0], scale) for c, (scale, col) in zip(coeffs, cols)),
+            Fraction(0),
+        )
+    return QuasimodularPoly(terms)
 
 
 def _solve_fraction_free(matrix, rhs):

@@ -248,7 +248,7 @@ def test_criterion_5_top_weight_claim():
                 assert res.ok, res.to_dict()
                 count += 1
     # closed-form anchor: the balanced two-edge series at genus one
-    anchor = necklace_coefficient_series(1, 1, 1, 20).series
+    anchor = necklace_coefficient_series(1, 1, 1, 20)
     assert anchor.coeffs[1:4] == (2, 12, 24)
     assert anchor == q_d_q(eisenstein(2, 20)).scale(2)
     elapsed = time.monotonic() - t0

@@ -7,6 +7,7 @@ import pytest
 
 from soclecalc.cli import main
 from soclecalc.exact import parse_rational
+from soclecalc.socle import _MAX_ZEROS
 
 
 def run(capsys, *argv):
@@ -73,6 +74,21 @@ def test_socle_value_outside_closed_formula_domain(capsys):
     assert (code, out.strip()) == (0, "1/2880")
 
 
+def test_socle_zero_limit(capsys):
+    # (k+1, 0^k) at g=2 string-reduces to (2, 0), whose value is 1/2880
+    def d(zeros):
+        return ",".join([str(zeros + 1)] + ["0"] * zeros)
+
+    code, out, _ = run(
+        capsys, "socle", "--g", "2", "--d", d(_MAX_ZEROS), "--method", "necklace"
+    )
+    assert (code, out.strip()) == (0, "1/2880")
+    code, out, err = run(capsys, "socle", "--g", "2", "--d", d(_MAX_ZEROS + 1))
+    assert code == 1
+    assert out == ""
+    assert f"at most {_MAX_ZEROS} zero exponents, got {_MAX_ZEROS + 1}" in err
+
+
 def test_unknown_usage_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["socle", "--g", "2"])  # missing --d
@@ -121,8 +137,27 @@ def test_verify_topweight_runs_requested_genus(capsys):
         capsys, "verify", "topweight", "--g", "5", "--m", "1", "--format", "json"
     )
     assert code == 0
-    ids = [c["id"] for c in json.loads(out)["checks"]]
+    payload = json.loads(out)
+    ids = [c["id"] for c in payload["checks"]]
     assert ids == ["elliptic.top_weight[g=5,j_plus=1,j_minus=0,q_order=21]"]
+    # the restriction is echoed after the default keys
+    assert list(payload["config"])[-2:] == ["g", "m"]
+    assert (payload["config"]["g"], payload["config"]["m"]) == (5, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "dr", "--g", "2"),
+        ("verify", "all", "--m", "2"),
+        ("verify", "string", "--g", "1", "--m", "1"),
+    ],
+)
+def test_verify_restriction_outside_topweight_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "--g and --m apply only to the topweight suite" in err
 
 
 def test_verify_without_checks_exits_one(capsys):

@@ -154,8 +154,8 @@ def _necklace_brute_force(g, j_plus, j_minus, q_order):
 def test_necklace_series_frozen_anchor():
     ncs = necklace_coefficient_series(1, 1, 1, 3)
     # closed resummation: 2 * sum n sigma_1(n) q^n
-    assert ncs.series == QSeries((0, 2, 12, 24))
-    assert ncs.series == q_d_q(eisenstein(2, 3)).scale(2)
+    assert ncs == QSeries((0, 2, 12, 24))
+    assert ncs == q_d_q(eisenstein(2, 3)).scale(2)
 
 
 @pytest.mark.parametrize(
@@ -166,24 +166,24 @@ def test_necklace_series_matches_brute_force(g, jp, jm):
     ncs = necklace_coefficient_series(g, jp, jm, N)
     brute = _necklace_brute_force(g, jp, jm, N)
     start = 0 if jm >= 1 else 1
-    assert list(ncs.series.coeffs[start:]) == brute[start:]
+    assert list(ncs.coeffs[start:]) == brute[start:]
 
 
 def test_necklace_series_constant_flag():
-    assert necklace_coefficient_series(1, 2, 0, 4).series.constant_known is False
-    assert necklace_coefficient_series(1, 1, 1, 4).series.constant_known is True
+    assert necklace_coefficient_series(1, 2, 0, 4).constant_known is False
+    assert necklace_coefficient_series(1, 1, 1, 4).constant_known is True
 
 
 def test_necklace_series_zero_at_order_zero():
     for g, jp, jm in [(1, 1, 1), (2, 3, 2)]:
-        assert necklace_coefficient_series(g, jp, jm, 0).series == QSeries.zero(0)
+        assert necklace_coefficient_series(g, jp, jm, 0) == QSeries.zero(0)
 
 
 def test_necklace_series_swap_symmetry():
     for g in (1, 2):
         for jp, jm in [(1, 2), (2, 1), (1, 3), (2, 2)]:
-            a = necklace_coefficient_series(g, jp, jm, 10).series
-            b = necklace_coefficient_series(g, jm, jp, 10).series
+            a = necklace_coefficient_series(g, jp, jm, 10)
+            b = necklace_coefficient_series(g, jm, jp, 10)
             assert a == b
 
 
@@ -198,7 +198,7 @@ def test_necklace_series_rejects_bad_input():
 
 def test_top_weight_anchor_is_pure_weight():
     ncs = necklace_coefficient_series(1, 1, 1, 20)
-    p = fit(ncs.series, 4)
+    p = fit(ncs, 4)
     assert not isinstance(p, FitInconsistency)
     # no lower-weight part at all in this case
     assert graded_part(p, 4) == p
@@ -210,7 +210,7 @@ def test_top_weight_two_edge_case_is_again_pure():
     # generator for every g, so no lower-weight tail appears here either
     assert top_weight_check(2, 1, 1, 20).ok
     ncs = necklace_coefficient_series(2, 1, 1, 20)
-    p = fit(ncs.series, 6)
+    p = fit(ncs, 6)
     assert graded_part(p, 6) == p
     assert sorted({monomial_weight(m) for m in p.terms}) == [6]
 
@@ -220,7 +220,7 @@ def test_top_weight_with_lower_order_remainder():
     # top weight 8
     assert top_weight_check(1, 2, 2, 30).ok
     ncs = necklace_coefficient_series(1, 2, 2, 30)
-    p = fit(ncs.series, 8)
+    p = fit(ncs, 8)
     assert graded_part(p, 8) != p
     assert sorted({monomial_weight(m) for m in p.terms}) == [6, 8]
 
@@ -248,8 +248,8 @@ def test_top_weight_order_precondition():
 def test_loop_coefficient_values():
     # the single-vertex loop: the one-edge necklace series is 2 G_2g on
     # every q^n with n >= 1 (its regularized constant is left unknown)
-    assert necklace_coefficient_series(1, 1, 0, 2).series.coeffs[1:] == (2, 6)
+    assert necklace_coefficient_series(1, 1, 0, 2).coeffs[1:] == (2, 6)
     for g in range(1, 7):
-        series = necklace_coefficient_series(g, 1, 0, 30).series
+        series = necklace_coefficient_series(g, 1, 0, 30)
         assert not series.constant_known
         assert series.coeffs[1:] == eisenstein(2 * g, 30).scale(2).coeffs[1:]

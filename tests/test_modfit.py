@@ -109,8 +109,6 @@ def test_fit_stable_under_higher_order():
 def test_fit_underdetermined_is_an_error():
     with pytest.raises(ValueError):
         fit(eisenstein(2, 8), 8)  # 11 monomials, 9 rows: no surplus
-    with pytest.raises(ValueError):
-        fit(eisenstein(2, 12), 4, margin=0)
 
 
 def test_fit_free_constant_mode():
@@ -118,12 +116,33 @@ def test_fit_free_constant_mode():
     # recovers the G4 coefficient and no pure-constant term
     s = eisenstein(4, 12).scale(3)
     tail = QSeries(s.coeffs, constant_known=False)
-    p = fit(tail, 4, free_constant=True)
+    p = fit(tail, 4)
     assert p == QuasimodularPoly({(0, 1, 0): 3})
     # the implied regularized constant is the evaluated q^0 value
     assert evaluate(p, 0).coeffs[0] == Fraction(3, 240)
-    with pytest.raises(ValueError):
-        fit(tail, 4)  # unknown constant demands free_constant
+
+
+def test_fit_reads_constant_off_the_series():
+    # the unknown-constant fit is the known-constant fit without its
+    # constant monomial, and that constant is s[0] minus the q^0 value
+    # of the other terms
+    rng = random.Random(5)
+    for weight in (4, 6, 8, 10, 12):
+        monos = basis(weight)
+        for _ in range(3):
+            terms = {
+                m: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for m in rng.sample(monos, k=rng.randint(1, len(monos)))
+            }
+            terms[(0, 0, 0)] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            s = evaluate(QuasimodularPoly(terms), len(monos) + 6)
+            known = fit(s, weight)
+            assert known == QuasimodularPoly(terms)
+            free = fit(QSeries(s.coeffs, constant_known=False), weight)
+            rest = {m: c for m, c in known.terms.items() if m != (0, 0, 0)}
+            assert free == QuasimodularPoly(rest)
+            constant = known.terms.get((0, 0, 0), Fraction(0))
+            assert constant == s[0] - evaluate(free, 0)[0]
 
 
 def test_graded_part():
@@ -188,6 +207,9 @@ def _ref_solve(matrix, rhs):
 
 
 def _ref_fit(s, max_weight, free_constant, columns):
+    # with a known constant the reference keeps the q^0 row and the
+    # constant monomial in the system, which fit leaves out and reads
+    # off afterwards; agreement checks that the constant absorbs q^0
     monos = basis(max_weight)
     if free_constant:
         monos = [m for m in monos if m != (0, 0, 0)]
@@ -230,7 +252,7 @@ def test_fit_matches_gauss_jordan_reference():
             bump = Fraction(rng.randint(1, 5), rng.randint(1, 7))
             coeffs[n] += bump if rng.random() < 0.5 else -bump
         s = QSeries(tuple(coeffs), constant_known=not free)
-        got = fit(s, weight, free_constant=free)
+        got = fit(s, weight)
         assert got == _ref_fit(s, weight, free, columns[order]), (trial, weight, free)
         seen["inconsistent" if isinstance(got, FitInconsistency) else "consistent"] += 1
         seen["free" if free else "fixed"] += 1

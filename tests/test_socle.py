@@ -197,13 +197,15 @@ def test_iter_socle_queries_matches_filtered_listing(max_zeros):
 
 
 def test_string_consistency_spec_anchors():
-    # appended convention: sum(d) = g-1+n
+    # sum(d) = g-1+n: the zero-appended query is dimension-valid
     assert verify_string_consistency(3, (2, 2)).ok
-    # standalone convention: sum(d) = g-2+n, checked through every lift
-    assert verify_string_consistency(2, (1,)).ok
-    assert verify_string_consistency(4, (3, 1, 1)).ok
-    with pytest.raises(DimensionError):
-        verify_string_consistency(3, (1, 1))
+    assert verify_string_consistency(2, (2,)).ok
+    for d in [(4, 1, 1), (3, 2, 1), (3, 1, 2)]:
+        assert verify_string_consistency(4, d).ok
+    # any other sum, a query valid on its own (g-2+n) included
+    for g, d in [(3, (1, 1)), (2, (1,)), (4, (3, 1, 1))]:
+        with pytest.raises(DimensionError):
+            verify_string_consistency(g, d)
 
 
 def test_string_consistency_fails_outside_positive_domain():
