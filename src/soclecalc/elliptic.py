@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import bernoulli, binomial, factorial
-from .modfit import FitInconsistency, basis, evaluate, fit, graded_part
+from .modfit import FitInconsistency, evaluate, fit, graded_part
 from .qseries import QSeries, eisenstein, q_d_q
 from .report import CheckResult, failed, passed
 
@@ -191,15 +191,11 @@ def top_weight_check(
     the regularized constant instead of asserting it.  A fit
     inconsistency is reported verbatim: at this truncation order it
     would falsify the quasimodularity of the necklace coefficient.
+    The order must leave fit its surplus rows; fit raises ValueError
+    otherwise.
     """
     m = j_plus + j_minus
     top_weight = 2 * g - 2 + 2 * m
-    needed = len(basis(top_weight)) + 5
-    if q_order < needed:
-        raise ValueError(
-            f"q_order {q_order} too small; need >= {needed} for weight "
-            f"{top_weight}"
-        )
     params = {"g": g, "j_plus": j_plus, "j_minus": j_minus, "q_order": q_order}
     series = necklace_coefficient_series(g, j_plus, j_minus, q_order)
     result = fit(series, top_weight)

@@ -9,8 +9,11 @@ Both directions work on integer columns.  Each G_k beyond q^0 is a
 divisor sum, so den_k * G_k is an integer series (den_k = 24, 240, 504);
 every monomial G2^a G4^b G6^c is kept as the integer series of
 24^a 240^b 504^c times it, built from a cached monomial of one generator
-fewer.  Recognition solves the resulting integer system by Bareiss
-fraction-free elimination; only the solution is turned into fractions.
+fewer.  Recognition solves the resulting integer system modulo the
+prime 2^127 - 1, rebuilds the rational solution by rational
+reconstruction and certifies it exactly on every row.  Bareiss
+fraction-free elimination solves only the systems that this cannot
+certify, among them every inconsistent one, whose witness it gives.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping
 
 from .qseries import QSeries, eisenstein
@@ -39,6 +42,11 @@ Monomial = tuple[int, int, int]
 
 # surplus rows a fit needs beyond its unknowns
 _MARGIN = 5
+
+# the modulus of the modular solve, the Mersenne prime 2^127 - 1; its
+# reconstruction bound 2^63 is far above the numerators (< 2^28) and
+# common denominators (< 2^32) of the top-weight fits at g, m <= 6
+_PRIME = (1 << 127) - 1
 
 
 def monomial_weight(mono: Monomial) -> int:
@@ -197,9 +205,13 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     Matches the coefficients of q^1 .. q^order exactly against the span
     of the non-constant monomials of weight <= max_weight: the
     right-hand side is scaled to integers and the system is solved
-    against the integer monomial columns by Bareiss fraction-free
-    elimination.  The constant monomial 1 is zero beyond q^0, so it can
-    only absorb the q^0 row; the system therefore depends on
+    against the integer monomial columns.  The solve runs modulo _PRIME
+    with rational reconstruction, and its candidate counts only after an
+    exact integer check of every row.  When the columns lose rank modulo
+    _PRIME, the system is inconsistent there, or the candidate fails,
+    Bareiss fraction-free elimination solves it instead and gives the
+    inconsistency witness.  The constant monomial 1 is zero beyond q^0,
+    so it can only absorb the q^0 row; the system therefore depends on
     (max_weight, order) alone.  It must be overdetermined by at least
     _MARGIN surplus rows (a fit that merely interpolates proves
     nothing); too small an order is an error, not a guess.
@@ -232,7 +244,7 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
         s.coeffs[n].numerator * (den // s.coeffs[n].denominator) for n in powers
     ]
 
-    w, det, ok = _solve_fraction_free(matrix, rhs)
+    w, det, ok = _solve_modular(matrix, rhs) or _solve_fraction_free(matrix, rhs)
     if not ok:
         for row, b, row_power in zip(matrix, rhs, powers):
             if sum(a * x for a, x in zip(row, w)) != det * b:
@@ -246,6 +258,68 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
             Fraction(0),
         )
     return QuasimodularPoly(terms)
+
+
+def _solve_modular(matrix, rhs):
+    """Solve the overdetermined integer system A z = b modulo _PRIME and
+    certify the rational solution exactly, or return None.
+
+    Eliminates [A | b] mod _PRIME with the pivot rule of
+    _solve_fraction_free, back-substitutes, and rebuilds z = w / det
+    component by component with a running common denominator det (Wang's
+    rational reconstruction, numerator and denominator both at most
+    isqrt(_PRIME // 2)).  The candidate counts only if A w == det * b
+    holds exactly in integers on every row, surplus rows included.  By
+    then A has full column rank mod _PRIME, hence over Q, so a certified
+    w / det is the unique solution: the same fractions as the (w, det,
+    True) of _solve_fraction_free.
+
+    Returns None when A loses rank mod _PRIME, when [A | b] is
+    inconsistent mod _PRIME (and so over Q: the caller needs Bareiss's
+    witness), or when reconstruction or certification fails.
+    """
+    p = _PRIME
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    aug = [[x % p for x in row] + [b % p] for row, b in zip(matrix, rhs)]
+    for c in range(ncols):
+        pr = next((i for i in range(c, nrows) if aug[i][c]), None)
+        if pr is None:
+            return None
+        aug[c], aug[pr] = aug[pr], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        aug[c][c:] = tail = [x * inv % p for x in aug[c][c:]]
+        for row in aug[c + 1 :]:
+            f = row[c]
+            if f:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+    if any(aug[i][ncols] for i in range(ncols, nrows)):
+        return None
+    z = [0] * ncols
+    for r in reversed(range(ncols)):
+        row = aug[r]
+        z[r] = (row[ncols] - sum(row[k] * z[k] for k in range(r + 1, ncols))) % p
+
+    bound = isqrt(p // 2)
+    det = 1
+    w = []
+    for x in z:
+        # Wang: the remainder sequence of (p, det * x) stops at the first
+        # remainder <= bound; its cofactor is the denominator
+        r0, r1, t0, t1 = p, det * x % p, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        if det * t1 > bound or gcd(r1, t1) != 1:
+            return None
+        w = [v * t1 for v in w] + [r1]
+        det *= t1
+    for row, b in zip(matrix, rhs):
+        if sum(a * v for a, v in zip(row, w)) != det * b:
+            return None
+    return w, det, True
 
 
 def _solve_fraction_free(matrix, rhs):

@@ -10,7 +10,13 @@ from soclecalc.elliptic import (
     top_weight_check,
     weierstrass_expansion,
 )
-from soclecalc.modfit import FitInconsistency, fit, graded_part, monomial_weight
+from soclecalc.modfit import (
+    FitInconsistency,
+    basis,
+    fit,
+    graded_part,
+    monomial_weight,
+)
 from soclecalc.qseries import QSeries, eisenstein, q_d_q
 
 
@@ -241,6 +247,16 @@ def test_top_weight_sweep_all_splits():
 def test_top_weight_order_precondition():
     with pytest.raises(ValueError):
         top_weight_check(3, 2, 2, 12)
+
+
+def test_top_weight_order_rule_is_fit_margin():
+    # the fit solves q^1..q^order against the monomials other than 1 and
+    # needs 5 surplus rows, so len(basis(W)) + 4 is the smallest order
+    for g, j_plus, j_minus in ((1, 1, 0), (2, 1, 1), (3, 2, 1)):
+        order = len(basis(2 * g - 2 + 2 * (j_plus + j_minus))) + 4
+        assert top_weight_check(g, j_plus, j_minus, order).ok
+        with pytest.raises(ValueError):
+            top_weight_check(g, j_plus, j_minus, order - 1)
 
 
 # --- loop factor

@@ -227,7 +227,9 @@ def _ref_fit(s, max_weight, free_constant, columns):
     return QuasimodularPoly(dict(zip(monos, coeffs)))
 
 
-def test_fit_matches_gauss_jordan_reference():
+def test_fit_matches_gauss_jordan_reference(monkeypatch):
+    from soclecalc import modfit
+
     rng = random.Random(20261018)
     columns = {}  # order -> monomial -> reference column
     seen = {"consistent": 0, "inconsistent": 0, "free": 0, "fixed": 0}
@@ -253,7 +255,13 @@ def test_fit_matches_gauss_jordan_reference():
             coeffs[n] += bump if rng.random() < 0.5 else -bump
         s = QSeries(tuple(coeffs), constant_known=not free)
         got = fit(s, weight)
-        assert got == _ref_fit(s, weight, free, columns[order]), (trial, weight, free)
+        ref = _ref_fit(s, weight, free, columns[order])
+        assert got == ref, (trial, weight, free)
+        # modulo a small prime, reconstruction often yields a wrong
+        # candidate; certification must reject it
+        with monkeypatch.context() as patch:
+            patch.setattr(modfit, "_PRIME", 101)
+            assert fit(s, weight) == ref, (trial, weight, free)
         seen["inconsistent" if isinstance(got, FitInconsistency) else "consistent"] += 1
         seen["free" if free else "fixed"] += 1
         weights.add(weight)
@@ -276,3 +284,39 @@ def test_fit_and_top_weight_run_no_series_products(monkeypatch):
         {(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)}
     )
     assert top_weight_check(5, 1, 4, 58).ok
+
+
+def test_bareiss_runs_only_when_the_modular_solve_cannot_certify(monkeypatch):
+    from soclecalc import modfit
+    from soclecalc.elliptic import top_weight_check
+
+    calls = []
+    bareiss = modfit._solve_fraction_free
+
+    def counted(matrix, rhs):
+        calls.append(len(matrix))
+        return bareiss(matrix, rhs)
+
+    monkeypatch.setattr(modfit, "_solve_fraction_free", counted)
+    # consistent, but numerators and denominators above 2^70 are past the
+    # reconstruction bound isqrt(_PRIME // 2) = 2^63
+    p = QuasimodularPoly(
+        {
+            (0, 0, 0): Fraction(2**71 + 1, 3**45),
+            (1, 0, 0): Fraction(-(2**73) - 7, 5**31),
+            (0, 1, 0): Fraction(3**50, 2**71 + 3),
+            (1, 1, 0): Fraction(7**26, 11**21),
+        }
+    )
+    assert fit(evaluate(p, 20), 6) == p
+    assert len(calls) == 1
+    calls.clear()
+    # off by _PRIME on the last (surplus) row: consistent modulo _PRIME,
+    # inconsistent over Q, so only the exact check of that row rejects it
+    coeffs = list(q_d_q(eisenstein(2, 14)).coeffs)
+    coeffs[14] += modfit._PRIME
+    assert fit(QSeries(tuple(coeffs)), 4) == FitInconsistency(14, 4)
+    assert len(calls) == 1
+    calls.clear()
+    assert top_weight_check(5, 1, 4, 58).ok
+    assert calls == []
