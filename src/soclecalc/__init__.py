@@ -14,7 +14,7 @@ from .drcycle import (
     dr_standard,
 )
 from .elliptic import (
-    LaurentQW,
+    check_divisor_power_k_fails,
     check_propagator_identity,
     necklace_coefficient_series,
     propagator_expansion,

@@ -2,25 +2,27 @@
 coefficient series they control.
 
 The formal variable w stands for 2*pi*i*z, so every coefficient stays
-rational.  Two independent constructions of the same object are kept
-side by side: the propagator sum (built from Bernoulli numbers and
-divisor sums of exponentials) and the shifted Weierstrass expansion
-(built from the Eisenstein series).  Their coefficient-wise agreement is
-the machine check that pins the Eisenstein divisor-power convention.
+rational.  An expansion is a dict {e: QSeries} of the coefficients of
+w^e for e = -2 .. w_order, all truncated at one q-order.  Two
+independent constructions of the same object are kept side by side: the
+propagator sum (built from Bernoulli numbers and divisor sums of
+exponentials) and the shifted Weierstrass expansion (built from the
+Eisenstein series).  Their coefficient-wise agreement, and the failure
+of the divisor-power-k variant, is the machine check that pins the
+Eisenstein divisor-power convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import bernoulli, binomial, factorial
 from .modfit import FitInconsistency, evaluate, fit, graded_part
-from .qseries import QSeries, eisenstein, q_d_q
+from .qseries import QSeries, divisor_sigma, eisenstein, q_d_q
 from .report import CheckResult, failed, passed
 
 __all__ = [
-    "LaurentQW",
+    "check_divisor_power_k_fails",
     "check_propagator_identity",
     "necklace_coefficient_series",
     "propagator_expansion",
@@ -29,42 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LaurentQW:
-    """Laurent polynomial window in w whose coefficients are QSeries.
-
-    Holds the coefficients of w^e for e in -pole_order .. w_order, all
-    truncated at a shared q-order.
-    """
-
-    pole_order: int
-    coeffs: tuple[QSeries, ...]
-
-    def __post_init__(self):
-        if self.pole_order < 0:
-            raise ValueError("pole_order must be >= 0")
-        if len(self.coeffs) <= self.pole_order:
-            raise ValueError("window must reach w^0")
-
-    @property
-    def w_order(self) -> int:
-        return len(self.coeffs) - 1 - self.pole_order
-
-    def coefficient(self, e: int) -> QSeries:
-        if not -self.pole_order <= e <= self.w_order:
-            raise IndexError(f"w^{e} outside window")
-        return self.coeffs[e + self.pole_order]
-
-
-def _exp_plus_minus(a: int, w_order: int, scale: Fraction) -> list[Fraction]:
-    """w-coefficients of scale * (e^(a w) + e^(-a w)) up to w^w_order."""
-    out = [Fraction(0)] * (w_order + 1)
-    for e in range(0, w_order + 1, 2):
-        out[e] = scale * 2 * Fraction(a**e, factorial(e))
-    return out
-
-
-def propagator_expansion(q_order: int, w_window: tuple[int, int]) -> LaurentQW:
+def propagator_expansion(q_order: int, w_order: int) -> dict[int, QSeries]:
     """The two-variable propagator sum expanded in the region where the
     geometric series in q converge, with p continued to e^w.
 
@@ -72,78 +39,95 @@ def propagator_expansion(q_order: int, w_window: tuple[int, int]) -> LaurentQW:
     in closed form through Bernoulli numbers; the q^n layer (n >= 1) is
     the finite divisor sum of a * (e^(a w) + e^(-a w)) over a | n.
     """
-    pole, w_order = w_window
-    if pole < 2:
-        raise ValueError("window must include the double pole: pole order >= 2")
-    grid = [
-        [Fraction(0)] * (q_order + 1) for _ in range(pole + w_order + 1)
-    ]  # [e + pole][n]
+    grid = {e: [Fraction(0)] * (q_order + 1) for e in range(-2, w_order + 1)}
 
     # q^0: e^w/(e^w-1)^2 = w^-2 - sum_{k>=1} B_2k (2k-1) w^(2k-2) / (2k)!
-    grid[pole - 2][0] = Fraction(1)
+    grid[-2][0] = Fraction(1)
     for e in range(0, w_order + 1, 2):
-        grid[e + pole][0] = -bernoulli(e + 2) * (e + 1) / factorial(e + 2)
+        grid[e][0] = -bernoulli(e + 2) * (e + 1) / factorial(e + 2)
 
+    # a * (e^(a w) + e^(-a w)) has w^e coefficient 2 a^(e+1) / e! for even e
     for n in range(1, q_order + 1):
         for a in range(1, n + 1):
             if n % a:
                 continue
-            term = _exp_plus_minus(a, w_order, Fraction(a))
-            for e in range(w_order + 1):
-                grid[e + pole][n] += term[e]
+            for e in range(0, w_order + 1, 2):
+                grid[e][n] += Fraction(2 * a ** (e + 1), factorial(e))
 
-    return LaurentQW(pole, tuple(QSeries(tuple(row)) for row in grid))
+    return {e: QSeries(tuple(row)) for e, row in grid.items()}
 
 
-def weierstrass_expansion(
-    q_order: int, w_order: int, divisor_power_shift: int = 0
-) -> LaurentQW:
+def weierstrass_expansion(q_order: int, w_order: int) -> dict[int, QSeries]:
     """Expansion of the constant-shifted Weierstrass function at the
-    origin: w^-2 + 2 sum_l G_(2l+2)(q) w^(2l) / (2l)!.
-
-    divisor_power_shift is forwarded to the Eisenstein series (shift 1
-    selects the divisor power k instead of k-1) so that the propagator
-    comparison can demonstrate the alternative convention fails.
-    """
-    rows: list[QSeries] = [
-        QSeries.constant(1, q_order),
-        QSeries.zero(q_order),
-    ]
-    for e in range(0, w_order + 1):
+    origin: w^-2 + 2 sum_l G_(2l+2)(q) w^(2l) / (2l)!."""
+    rows = {-2: QSeries.constant(1, q_order), -1: QSeries.zero(q_order)}
+    for e in range(w_order + 1):
         if e % 2:
-            rows.append(QSeries.zero(q_order))
-            continue
-        k = e + 2
-        power = None if divisor_power_shift == 0 else k - 1 + divisor_power_shift
-        rows.append(eisenstein(k, q_order, power).scale(Fraction(2, factorial(e))))
-    return LaurentQW(2, tuple(rows))
+            rows[e] = QSeries.zero(q_order)
+        else:
+            rows[e] = eisenstein(e + 2, q_order).scale(Fraction(2, factorial(e)))
+    return rows
 
 
-def check_propagator_identity(
-    q_order: int, w_order: int, divisor_power_shift: int = 0
+def _compare_with_propagator(
+    rows: dict[int, QSeries], q_order: int, w_order: int
 ) -> CheckResult:
-    """Coefficient-wise comparison of the propagator sum against the
-    shifted Weierstrass expansion over the full truncation window.
+    """Coefficient-wise comparison of the propagator sum against rows
+    over the full truncation window.
 
     A mismatch is a return value, not an exception; the witness is the
     first mismatching (q-power, w-power) scanning q then w upward.
     """
-    lhs = propagator_expansion(q_order, (2, w_order))
-    rhs = weierstrass_expansion(q_order, w_order, divisor_power_shift)
-    params = {"q_order": q_order, "w_order": w_order}
-    if divisor_power_shift:
-        params["divisor_power_shift"] = divisor_power_shift
+    lhs = propagator_expansion(q_order, w_order)
     for n in range(q_order + 1):
         for e in range(-2, w_order + 1):
-            a = lhs.coefficient(e).coeffs[n]
-            b = rhs.coefficient(e).coeffs[n]
+            a, b = lhs[e][n], rows[e][n]
             if a != b:
                 return failed(
                     "elliptic.propagator_identity",
                     {"q_power": n, "w_power": e, "lhs": a, "rhs": b},
-                    **params,
+                    q_order=q_order,
+                    w_order=w_order,
                 )
-    return passed("elliptic.propagator_identity", **params)
+    return passed("elliptic.propagator_identity", q_order=q_order, w_order=w_order)
+
+
+def check_propagator_identity(q_order: int, w_order: int) -> CheckResult:
+    """The propagator sum equals the shifted Weierstrass expansion."""
+    rows = weierstrass_expansion(q_order, w_order)
+    return _compare_with_propagator(rows, q_order, w_order)
+
+
+def check_divisor_power_k_fails(q_order: int, w_order: int) -> CheckResult:
+    """Certify the divisor power k-1 of eisenstein by the failure of the
+    power k: the Weierstrass rows rebuilt with sigma_k(n) beyond q^0, the
+    Bernoulli constant unchanged, must disagree with the propagator sum.
+    The pass carries the first mismatch as mismatch_at=(q-power, w-power).
+
+    sigma_p(1) = 1 for every p, so no truncation below q^2 can tell the
+    two powers apart; q_order < 2 raises ValueError instead of reporting
+    an agreement.
+    """
+    if q_order < 2:
+        raise ValueError(
+            "the divisor-power-k variant first differs from the propagator "
+            "at q^2 (sigma_p(1) = 1 for every p): needs q_order >= 2, "
+            f"got {q_order}"
+        )
+    rows = weierstrass_expansion(q_order, w_order)
+    for e in range(0, w_order + 1, 2):
+        scale = Fraction(2, factorial(e))
+        rows[e] = QSeries(
+            (rows[e][0],)
+            + tuple(scale * divisor_sigma(e + 2, n) for n in range(1, q_order + 1))
+        )
+    wrong = _compare_with_propagator(rows, q_order, w_order)
+    check = "elliptic.propagator_must_fail_with_divisor_power_k"
+    params = {"q_order": q_order, "w_order": w_order}
+    if wrong.ok:
+        return failed(check, {"unexpected": "agreement"}, **params)
+    where = (wrong.witness["q_power"], wrong.witness["w_power"])
+    return passed(check, **params, mismatch_at=where)
 
 
 def necklace_coefficient_series(

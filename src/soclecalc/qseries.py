@@ -124,21 +124,19 @@ def divisor_sigma(power: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def eisenstein(k: int, order: int, divisor_power: int | None = None) -> QSeries:
+def eisenstein(k: int, order: int) -> QSeries:
     """Eisenstein series G_k truncated at q^order.
 
     G_k(q) = -B_k/(2k) + sum_{n>=1} sigma_{k-1}(n) q^n.  The divisor
     power k-1 is the one consistent with the weight convention
     wt(G_k) = k and with the Laurent expansion of the shifted
-    Weierstrass function; divisor_power lets callers substitute another
-    exponent (the variant with power k is demonstrably incompatible
-    with the propagator identity, see elliptic.check_propagator_identity).
+    Weierstrass function; elliptic.check_divisor_power_k_fails shows
+    that the power k breaks the propagator identity.
     """
     if k < 2 or k % 2:
         raise ValueError(f"eisenstein weight must be even and >= 2, got {k}")
-    power = k - 1 if divisor_power is None else divisor_power
     coeffs = [-bernoulli(k) / (2 * k)]
-    coeffs.extend(Fraction(divisor_sigma(power, n)) for n in range(1, order + 1))
+    coeffs.extend(Fraction(divisor_sigma(k - 1, n)) for n in range(1, order + 1))
     return QSeries(tuple(coeffs))
 
 

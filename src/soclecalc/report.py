@@ -32,14 +32,6 @@ class CheckResult:
         inner = ",".join(f"{k}={_fmt(v)}" for k, v in self.params.items())
         return f"{self.check}[{inner}]"
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": jsonable(dict(self.params)),
-            "status": self.status,
-            "witness": jsonable(self.witness),
-        }
-
 
 def passed(check: str, **params) -> CheckResult:
     return CheckResult(check, params, "pass", None)

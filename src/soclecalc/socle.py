@@ -408,21 +408,13 @@ def _nonincreasing(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]
             yield (first,) + rest
 
 
-def iter_socle_queries(
-    g_max: int, n_max: int, max_zeros: int | None = None
-) -> Iterator[SocleQuery]:
+def iter_socle_queries(g_max: int, n_max: int) -> Iterator[SocleQuery]:
     """All dimension-valid queries with g <= g_max and n <= n_max, one
     representative per exponent multiset (values are symmetric in d):
     d non-increasing, in descending lexicographic order per (g, n).
-
-    max_zeros restricts the number of zero exponents; max_zeros=1 is the
-    domain on which the closed formula and the necklace path provably
-    agree.
     """
     for g in range(1, g_max + 1):
         for n in range(1, n_max + 1):
             total = g - 2 + n
             for d in _nonincreasing(total, n, total):
-                if max_zeros is not None and d.count(0) > max_zeros:
-                    continue
                 yield SocleQuery(g, d)

@@ -109,6 +109,16 @@ def test_verify_propagator_json_schema(capsys):
     assert all("[q_order=20,w_order=8" in i for i in ids)
 
 
+@pytest.mark.parametrize("suite", ["propagator", "all"])
+def test_verify_propagator_below_q_squared_is_usage_error(capsys, suite):
+    # sigma_p(1) = 1 for every p: no order below q^2 separates the
+    # divisor powers k-1 and k, so the run refuses instead of failing
+    code, out, err = run(capsys, "verify", suite, "--q-order", "1")
+    assert code == 1
+    assert out == ""
+    assert "q^2" in err and "q_order >= 2" in err
+
+
 def test_verify_relation_runs_requested_genus(capsys):
     code, out, _ = run(capsys, "verify", "relation", "--g-max", "6", "--format", "json")
     assert code == 0

@@ -3,7 +3,9 @@ from math import factorial
 
 import pytest
 
+from soclecalc import elliptic, qseries, report
 from soclecalc.elliptic import (
+    check_divisor_power_k_fails,
     check_propagator_identity,
     necklace_coefficient_series,
     propagator_expansion,
@@ -53,39 +55,40 @@ def _pole_part_oracle(w_order):
 
 
 def test_propagator_constant_layer_matches_division_oracle():
-    prop = propagator_expansion(2, (2, 8))
+    prop = propagator_expansion(2, 8)
     oracle = _pole_part_oracle(8)
+    assert sorted(prop) == list(range(-2, 9))
     for e in range(-2, 9):
-        assert prop.coefficient(e).coeffs[0] == oracle[e], f"w^{e}"
+        assert prop[e][0] == oracle[e], f"w^{e}"
     assert oracle[0] == Fraction(-1, 12)
     assert oracle[2] == Fraction(1, 240)
 
 
 def test_propagator_first_q_layer_is_symmetrized_exponential():
     # only a=1 divides 1: coefficient layer is e^w + e^-w
-    prop = propagator_expansion(3, (2, 6))
+    prop = propagator_expansion(3, 6)
     expected = {0: 2, 1: 0, 2: 1, 3: 0, 4: Fraction(1, 12), 5: 0,
                 6: Fraction(2, factorial(6))}
     for e, val in expected.items():
-        assert prop.coefficient(e).coeffs[1] == val
+        assert prop[e][1] == val
 
 
 def test_propagator_pole_layer():
-    prop = propagator_expansion(5, (3, 4))
-    assert prop.coefficient(-2) == QSeries.constant(1, 5)
-    assert prop.coefficient(-1) == QSeries.zero(5)
-    assert prop.coefficient(-3) == QSeries.zero(5)
-    with pytest.raises(ValueError):
-        propagator_expansion(4, (1, 4))
+    prop = propagator_expansion(5, 4)
+    assert prop[-2] == QSeries.constant(1, 5)
+    assert prop[-1] == QSeries.zero(5)
+    assert min(prop) == -2
 
 
 def test_weierstrass_expansion_layers():
     wp = weierstrass_expansion(4, 4)
-    assert wp.coefficient(-2) == QSeries.constant(1, 4)
-    assert wp.coefficient(0) == eisenstein(2, 4).scale(2)
-    assert wp.coefficient(2) == eisenstein(4, 4)  # 2/2! = 1
-    assert wp.coefficient(1) == QSeries.zero(4)
-    assert wp.coefficient(3) == QSeries.zero(4)
+    assert sorted(wp) == list(range(-2, 5))
+    assert wp[-2] == QSeries.constant(1, 4)
+    assert wp[-1] == QSeries.zero(4)
+    assert wp[0] == eisenstein(2, 4).scale(2)
+    assert wp[2] == eisenstein(4, 4)  # 2/2! = 1
+    assert wp[1] == QSeries.zero(4)
+    assert wp[3] == QSeries.zero(4)
 
 
 def test_propagator_identity_passes():
@@ -100,24 +103,48 @@ def test_propagator_identity_full_window_sweep():
 
 
 def test_propagator_identity_difference_has_no_principal_part():
-    prop = propagator_expansion(6, (2, 6))
+    prop = propagator_expansion(6, 6)
     wp = weierstrass_expansion(6, 6)
     for e in (-2, -1):
-        assert prop.coefficient(e) == wp.coefficient(e), f"w^{e}"
-    # the propagator's own principal part is independent of q
-    prop = propagator_expansion(6, (4, 6))
-    for e in range(-4, 0):
-        assert all(c == 0 for c in prop.coefficient(e).coeffs[1:]), f"w^{e}"
+        assert prop[e] == wp[e], f"w^{e}"
+        # the propagator's own principal part is independent of q
+        assert all(c == 0 for c in prop[e].coeffs[1:]), f"w^{e}"
 
 
-def test_wrong_divisor_power_fails_the_identity():
+def test_wrong_divisor_power_fails_the_identity(monkeypatch):
     # divisor sums at n=1 are 1 for every power, so the two conventions
     # first part at q^2: 2*sigma_1(2) = 6 against 2*sigma_2(2) = 10
-    res = check_propagator_identity(8, 8, divisor_power_shift=1)
+    mismatches = []
+
+    def record(check, witness, **params):
+        mismatches.append(witness)
+        return report.failed(check, witness, **params)
+
+    monkeypatch.setattr(elliptic, "failed", record)
+    res = check_divisor_power_k_fails(8, 8)
+    assert res.ok
+    assert res.params["mismatch_at"] == (2, 0)
+    assert mismatches == [{"q_power": 2, "w_power": 0, "lhs": 6, "rhs": 10}]
+    assert check_divisor_power_k_fails(2, 1).params["mismatch_at"] == (2, 0)
+
+
+def test_divisor_power_k_check_needs_q_squared():
+    with pytest.raises(ValueError, match=r"q\^2"):
+        check_divisor_power_k_fails(1, 8)
+
+
+def test_divisor_power_k_check_fails_on_agreement(monkeypatch):
+    # a "variant" built with the true divisor power k-1 agrees with the
+    # propagator, and the check must report that agreement as a failure
+    monkeypatch.setattr(
+        elliptic, "divisor_sigma", lambda p, n: qseries.divisor_sigma(p - 1, n)
+    )
+    res = check_divisor_power_k_fails(8, 8)
     assert not res.ok
-    assert (res.witness["q_power"], res.witness["w_power"]) == (2, 0)
-    assert res.witness["lhs"] == 6
-    assert res.witness["rhs"] == 10
+    assert res.witness == {"unexpected": "agreement"}
+    assert res.check_id == (
+        "elliptic.propagator_must_fail_with_divisor_power_k[q_order=8,w_order=8]"
+    )
 
 
 # --- necklace coefficient series
@@ -241,7 +268,7 @@ def test_top_weight_sweep_all_splits():
             q_order = 25 if 2 * g - 2 + 2 * m <= 10 else 30
             for j_plus in range(1, m + 1):
                 res = top_weight_check(g, j_plus, m - j_plus, q_order)
-                assert res.ok, res.to_dict()
+                assert res.ok, res
 
 
 def test_top_weight_order_precondition():

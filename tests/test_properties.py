@@ -11,6 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soclecalc.cli import render_report
 from soclecalc.drcycle import dr3_closed
 from soclecalc.exact import parse_rational
 from soclecalc.qseries import QSeries, q_d_q
@@ -131,13 +132,16 @@ witness_values = st.one_of(rationals, st.lists(rationals, max_size=4), st.intege
 @small
 @given(names, params, st.one_of(st.none(), st.dictionaries(names, witness_values)))
 def test_check_result_survives_json_round_trip(check, kwargs, witness):
+    # the path `soclecalc verify --format json` serializes a check through
     result = passed(check, **kwargs) if witness is None else failed(check, witness, **kwargs)
-    encoded = result.to_dict()
-    decoded = json.loads(json.dumps(encoded))
-    assert decoded == encoded
-    assert decoded["params"] == {
-        k: list(v) if isinstance(v, tuple) else v for k, v in kwargs.items()
-    }
+    (decoded,) = json.loads(render_report("s", [result], "json", {}))["checks"]
+    inner = ",".join(
+        f"{k}={'+'.join(map(str, v)) if isinstance(v, tuple) else v}"
+        for k, v in kwargs.items()
+    )
+    assert decoded["id"] == f"{check}[{inner}]"
+    assert decoded["status"] == result.status
+    assert (decoded["witness"] is None) == (witness is None)
     for key, value in (witness or {}).items():
         back = decoded["witness"][key]
         if isinstance(value, Fraction):
