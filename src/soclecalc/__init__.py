@@ -27,7 +27,6 @@ from .exact import (
     double_factorial_odd,
     factorial,
     format_rational,
-    parse_rational,
 )
 from .modfit import (
     FitInconsistency,
@@ -49,7 +48,6 @@ from .socle import (
     iter_socle_queries,
     iter_wheels,
     necklace_lhs,
-    necklace_socle,
     relation_integral_check,
     socle_compute,
     socle_necklace,

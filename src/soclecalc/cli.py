@@ -2,7 +2,9 @@
 
 Exit codes form a stable contract for CI use: 0 success/agreement,
 1 usage error, 2 mathematical disagreement.  A failed identity is a
-result with a serialized witness, not a crash.
+result with a serialized witness, not a crash.  The flags alone decide
+a run; no environment variable is read.  Usage errors found after
+parsing are ValueErrors, which main reports.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 
@@ -37,7 +38,6 @@ from .socle import (
 
 __all__ = ["main"]
 
-ENV_PREFIX = "SOCLECALC_"
 FORMATS = ("json", "csv", "markdown")
 EXIT_OK, EXIT_USAGE, EXIT_DISAGREE = 0, 1, 2
 
@@ -49,13 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _env_default(name: str, fallback):
-    # argparse applies an option's type= to a string default, and only in
-    # the subparser that owns the option, so a malformed value is a usage
-    # error of the subcommand that reads it
-    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def _at_least(lo: int):
@@ -75,23 +68,32 @@ def _at_least(lo: int):
     return parse
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type= for a list flag: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="soclecalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=_env_default("FORMAT", "markdown"),
-    )
+    common.add_argument("--format", choices=FORMATS, default="markdown")
 
     p_socle = sub.add_parser(
         "socle", parents=[common], help="evaluate one socle query"
     )
     p_socle.add_argument("--g", type=int, required=True)
     p_socle.add_argument(
-        "--d", required=True, help="comma-separated exponents, e.g. 2,0"
+        "--d",
+        type=_int_list,
+        required=True,
+        help="comma-separated exponents, e.g. 2,0",
     )
     p_socle.add_argument(
         "--method", choices=("faber", "necklace", "both"), default="both"
@@ -101,36 +103,26 @@ def build_parser() -> _Parser:
         "verify", parents=[common], help="run a verification suite"
     )
     p_verify.add_argument("suite", choices=(*SUITES, "all"))
-    p_verify.add_argument(
-        "--q-order", type=_at_least(1), default=_env_default("Q_ORDER", 20)
-    )
-    p_verify.add_argument(
-        "--w-order", type=_at_least(1), default=_env_default("W_ORDER", 8)
-    )
-    p_verify.add_argument(
-        "--g-max", type=_at_least(1), default=_env_default("G_MAX", 6)
-    )
+    p_verify.add_argument("--q-order", type=_at_least(1), default=20)
+    p_verify.add_argument("--w-order", type=_at_least(1), default=8)
+    p_verify.add_argument("--g-max", type=_at_least(1), default=6)
     p_verify.add_argument("--m-max", type=_at_least(1), default=4)
     p_verify.add_argument("--g", type=_at_least(1), help="restrict to one genus")
     p_verify.add_argument(
         "--m", type=_at_least(1), help="restrict to one edge count"
     )
     p_verify.add_argument("--samples", type=_at_least(0), default=20)
-    p_verify.add_argument("--seed", type=int, default=_env_default("SEED", 0))
+    p_verify.add_argument("--seed", type=int, default=0)
 
     p_table = sub.add_parser(
         "table", parents=[common], help="emit a golden value table"
     )
     p_table.add_argument("kind", choices=("socle", "dr", "eisenstein"))
-    p_table.add_argument(
-        "--g-max", type=_at_least(0), default=_env_default("G_MAX", 3)
-    )
+    p_table.add_argument("--g-max", type=_at_least(0), default=3)
     p_table.add_argument("--n-max", type=_at_least(1), default=3)
     p_table.add_argument("--a-max", type=_at_least(0), default=3)
-    p_table.add_argument("--k", default="2,4,6")
-    p_table.add_argument(
-        "--order", type=_at_least(0), default=_env_default("Q_ORDER", 10)
-    )
+    p_table.add_argument("--k", type=_int_list, default="2,4,6")
+    p_table.add_argument("--order", type=_at_least(0), default=10)
     return parser
 
 
@@ -313,21 +305,14 @@ def _rows_to_output(header, rows, fmt: str) -> str:
 
 
 def cmd_socle(args) -> int:
-    try:
-        d = tuple(int(x) for x in args.d.split(","))
-        query = SocleQuery(args.g, d)
-    except ValueError as exc:
-        print(f"soclecalc socle: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    query = SocleQuery(args.g, args.d)
     zeros = query.d.count(0)
     if args.method == "faber" and zeros >= 2:
-        print(
-            "soclecalc socle: error: the closed formula is the socle value "
-            f"only on exponent lists with at most one zero; d has {zeros} "
-            "(use --method necklace or both)",
-            file=sys.stderr,
+        raise ValueError(
+            "the closed formula is the socle value only on exponent lists "
+            f"with at most one zero; d has {zeros} "
+            "(use --method necklace or both)"
         )
-        return EXIT_USAGE
     result = socle_compute(query, args.method)
     payload = {
         "g": query.g,
@@ -359,21 +344,16 @@ def cmd_socle(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite != "topweight" and (args.g is not None or args.m is not None):
-        print(
-            "soclecalc verify: error: --g and --m apply only to the "
-            f"topweight suite, not to {args.suite!r}",
-            file=sys.stderr,
+        raise ValueError(
+            "--g and --m apply only to the topweight suite, "
+            f"not to {args.suite!r}"
         )
-        return EXIT_USAGE
     names = SUITES if args.suite == "all" else (args.suite,)
     checks = [c for name in names for c in SUITES[name](args)]
     if not checks:
-        print(
-            f"soclecalc verify: error: suite {args.suite!r} ran no checks "
-            "for these parameters",
-            file=sys.stderr,
+        raise ValueError(
+            f"suite {args.suite!r} ran no checks for these parameters"
         )
-        return EXIT_USAGE
     # the suites run exactly these parameters, so the echo is what ran
     config = {
         "q_order": args.q_order,
@@ -415,15 +395,10 @@ def cmd_table(args) -> int:
             for a2 in range(-args.a_max, args.a_max + 1)
         ]
     else:
-        try:
-            ks = [int(x) for x in args.k.split(",")]
-        except ValueError:
-            print("soclecalc table: error: bad --k list", file=sys.stderr)
-            return EXIT_USAGE
         header = ["k", "n", "coefficient"]
         rows = [
             (k, n, eisenstein(k, args.order).coeffs[n])
-            for k in ks
+            for k in args.k
             for n in range(args.order + 1)
         ]
     print(_rows_to_output(header, rows, args.format))
@@ -431,14 +406,7 @@ def cmd_table(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format not in FORMATS:
-        # choices= is not applied to a default, i.e. to SOCLECALC_FORMAT
-        parser.error(
-            f"{ENV_PREFIX}FORMAT: invalid choice: {args.format!r} "
-            f"(choose from {', '.join(FORMATS)})"
-        )
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "socle":
             return cmd_socle(args)
@@ -446,7 +414,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         return cmd_table(args)
     except ValueError as exc:
-        print(f"soclecalc: error: {exc}", file=sys.stderr)
+        print(f"soclecalc {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "double_factorial_odd",
     "factorial",
     "format_rational",
-    "parse_rational",
 ]
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
@@ -72,11 +71,3 @@ def format_rational(x: Fraction | int) -> str:
     """Serialize an exact scalar as "num/den", always with the denominator."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    """Parse "num/den" or a bare integer string into a Fraction."""
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {s!r}") from exc

@@ -49,7 +49,6 @@ __all__ = [
     "iter_socle_queries",
     "iter_wheels",
     "necklace_lhs",
-    "necklace_socle",
     "relation_integral_check",
     "socle_compute",
     "socle_necklace",
@@ -117,10 +116,6 @@ class Wheel:
             raise ValueError("cycle must be a permutation of 1..m starting at 1")
         if len(self.genera) != m or any(x < 0 for x in self.genera):
             raise ValueError("need one genus >= 0 per vertex")
-
-    @property
-    def m(self) -> int:
-        return len(self.cycle)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -204,8 +199,8 @@ def _literal_wheel_sum(g: int, d: tuple[int, ...]) -> Fraction:
 def _necklace_normalization(g: int, m: int) -> Fraction:
     """(-1)^(g-1) B_2g (2g-2+m)! / (2 (2g)!): the socle value of a
     canonical query with m positive exponents over its wheel sum.
-    necklace_socle multiplies by it and relation_integral_check divides
-    by it, so the relation check certifies the constant in use."""
+    The necklace path multiplies by it and relation_integral_check
+    divides by it, so the relation check certifies the constant in use."""
     return (
         Fraction((-1) ** (g - 1))
         * bernoulli(2 * g)
@@ -214,26 +209,13 @@ def _necklace_normalization(g: int, m: int) -> Fraction:
     )
 
 
-def necklace_socle(g: int, d: Sequence[int]) -> Fraction:
-    """Necklace-side evaluation of a canonical query: exactly one zero
-    exponent, all others positive.  Fully independent of faber()."""
-    d = tuple(int(x) for x in d)
-    zeros = d.count(0)
-    if zeros != 1 or any(x < 0 for x in d):
-        raise ValueError(
-            f"canonical shape needs exactly one zero exponent, got {d}"
-        )
-    SocleQuery(g, d)  # dimension validation
-    positives = tuple(x for x in d if x > 0)
-    return _necklace_normalization(g, len(positives)) * necklace_lhs(g, positives)
-
-
-def string_apply(g: int, d: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+def string_apply(d: Sequence[int]) -> list[tuple[int, ...]]:
     """One string-equation step: remove the last zero exponent and emit
     one reduced list per remaining positive slot, decremented there.
 
-    Mechanical on (g, d): dimension validity is not required here, but
-    reductions of a dimension-valid query are again dimension-valid.
+    The genus is unchanged.  Mechanical on d: dimension validity is not
+    required here, but reductions of a dimension-valid query are again
+    dimension-valid.
     """
     d = tuple(int(x) for x in d)
     if len(d) < 2:
@@ -247,7 +229,7 @@ def string_apply(g: int, d: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     out = []
     for j, x in enumerate(rest):
         if x >= 1:
-            out.append((g, rest[:j] + (x - 1,) + rest[j + 1 :]))
+            out.append(rest[:j] + (x - 1,) + rest[j + 1 :])
     return out
 
 
@@ -264,7 +246,8 @@ def _necklace_value(g: int, d: tuple[int, ...]) -> Fraction:
         # only valid at g=1; canonicalize through the identity query
         return _necklace_value(1, (1, 0))
     if zeros == 1:
-        return necklace_socle(g, d)
+        # the zero is last; necklace_lhs validates the positive exponents
+        return _necklace_normalization(g, len(d) - 1) * necklace_lhs(g, d[:-1])
     if zeros == 0:
         # lift: bump the largest exponent, append a zero; the lifted
         # canonical query string-reduces to this query plus sibling
@@ -278,7 +261,7 @@ def _necklace_value(g: int, d: tuple[int, ...]) -> Fraction:
         return value
     # two or more zeros: keep applying the string equation
     return sum(
-        (_necklace_value(rg, _canonical(rd)) for rg, rd in string_apply(g, d)),
+        (_necklace_value(g, _canonical(rd)) for rd in string_apply(d)),
         Fraction(0),
     )
 
@@ -338,7 +321,7 @@ def verify_string_consistency(g: int, d: Sequence[int]) -> CheckResult:
     appended = d + (0,)
     lhs = faber(SocleQuery(g, appended))
     rhs = sum(
-        (faber(SocleQuery(rg, rd)) for rg, rd in string_apply(g, appended)),
+        (faber(SocleQuery(g, rd)) for rd in string_apply(appended)),
         Fraction(0),
     )
     if lhs == rhs:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from soclecalc.cli import main
-from soclecalc.exact import parse_rational
 from soclecalc.socle import _MAX_ZEROS
 
 
@@ -30,8 +29,9 @@ def test_socle_dimension_violation_is_usage_error(capsys):
 
 
 def test_socle_malformed_d_list(capsys):
-    code, _, err = run(capsys, "socle", "--g", "2", "--d", "2;1")
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["socle", "--g", "2", "--d", "2;1"])
+    assert exc.value.code == 1
 
 
 def test_socle_json_output_round_trips(capsys):
@@ -39,7 +39,7 @@ def test_socle_json_output_round_trips(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == "1/24"
-    assert parse_rational(payload["value"]) == Fraction(1, 24)
+    assert Fraction(payload["value"]) == Fraction(1, 24)
     assert payload["agree"] is True
 
 
@@ -188,51 +188,25 @@ def test_verify_all_deterministic_given_seed(capsys):
     assert out1 == out2
 
 
-def test_verify_env_override(capsys, monkeypatch):
+def test_environment_does_not_change_a_run(capsys, monkeypatch):
+    # the flags alone decide a run, whatever SOCLECALC_* variables the
+    # environment holds
+    plain = run(capsys, "verify", "all", "--format", "json")
     monkeypatch.setenv("SOCLECALC_G_MAX", "2")
-    code, out, _ = run(capsys, "verify", "string", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["config"]["g_max"] == 2
-
-
-def test_malformed_env_value_only_breaks_its_reader(capsys, monkeypatch):
-    monkeypatch.setenv("SOCLECALC_SEED", "abc")
+    monkeypatch.setenv("SOCLECALC_Q_ORDER", "1")
+    monkeypatch.setenv("SOCLECALC_FORMAT", "xml")
+    assert run(capsys, "verify", "all", "--format", "json") == plain
+    assert plain[0] == 0
+    assert len(json.loads(plain[1])["checks"]) == 1587
     code, _, err = run(capsys, "table", "dr", "--g-max", "0", "--a-max", "0")
     assert (code, err) == (0, "")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "dr", "--g-max", "1"])
-    assert exc.value.code == 1
-    assert "--seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["socle", "--g", "1", "--d", "0"],
-        ["verify", "dr", "--g-max", "1"],
-        ["table", "dr", "--g-max", "0", "--a-max", "0"],
-    ],
-)
-def test_env_format_is_checked(capsys, monkeypatch, argv):
-    monkeypatch.setenv("SOCLECALC_FORMAT", "xml")
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "SOCLECALC_FORMAT" in captured.err and "'xml'" in captured.err
-
-
-def test_orders_must_be_positive(capsys, monkeypatch):
+def test_orders_must_be_positive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "propagator", "--q-order", "0"])
     assert exc.value.code == 1
     assert "--q-order" in capsys.readouterr().err
-    monkeypatch.setenv("SOCLECALC_W_ORDER", "0")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "propagator"])
-    assert exc.value.code == 1
-    assert "--w-order" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -244,6 +218,8 @@ def test_orders_must_be_positive(capsys, monkeypatch):
         (["table", "dr", "--a-max", "-1"], "--a-max"),
         (["table", "socle", "--n-max", "-1"], "--n-max"),
         (["verify", "all", "--m-max", "-1"], "--m-max"),
+        (["socle", "--g", "2", "--d", "2;1"], "--d"),
+        (["table", "eisenstein", "--k", "2,x"], "--k"),
     ],
 )
 def test_negative_sizes_are_usage_errors(capsys, argv, flag):
@@ -253,6 +229,20 @@ def test_negative_sizes_are_usage_errors(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("socle", "--g", "1", "--d", "2,0,0", "--method", "faber"),
+        ("verify", "dr", "--g", "2"),
+        ("table", "eisenstein", "--k", "3"),
+    ],
+)
+def test_usage_errors_name_their_subcommand(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"soclecalc {argv[0]}: error:")
 
 
 def test_table_socle_csv(capsys):
@@ -267,7 +257,7 @@ def test_table_socle_csv(capsys):
     assert by_key[("2", "2,0")]["equal"] == "True"
     # every rational in the table re-parses exactly
     for r in rows:
-        assert parse_rational(r["faber"]) == parse_rational(r["necklace"])
+        assert Fraction(r["faber"]) == Fraction(r["necklace"])
 
 
 def test_table_dr(capsys):
@@ -278,7 +268,7 @@ def test_table_dr(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 3 * 9
     lookup = {
-        (r["g"], r["a1"], r["a2"]): parse_rational(r["value"]) for r in rows
+        (r["g"], r["a1"], r["a2"]): Fraction(r["value"]) for r in rows
     }
     assert lookup[("1", "1", "-1")] == Fraction(1, 12)
     assert lookup[("0", "0", "0")] == 1

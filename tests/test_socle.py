@@ -15,7 +15,6 @@ from soclecalc.socle import (
     iter_socle_queries,
     iter_wheels,
     necklace_lhs,
-    necklace_socle,
     relation_integral_check,
     socle_compute,
     socle_necklace,
@@ -89,27 +88,23 @@ def test_necklace_lhs_rejects_bad_shapes():
 
 
 def test_necklace_socle_values():
-    assert necklace_socle(2, (2, 0)) == Fraction(1, 2880)
-    assert necklace_socle(1, (1, 0)) == Fraction(1, 24)
+    assert socle_necklace(SocleQuery(2, (2, 0))) == Fraction(1, 2880)
+    assert socle_necklace(SocleQuery(1, (1, 0))) == Fraction(1, 24)
     q = SocleQuery(3, (2, 2, 0))
-    assert necklace_socle(3, (2, 2, 0)) == faber(q)
-    with pytest.raises(ValueError):
-        necklace_socle(2, (1, 1))
-    with pytest.raises(DimensionError):
-        necklace_socle(2, (3, 0))
+    assert socle_necklace(q) == faber(q)
 
 
 def test_string_apply_mechanics():
-    assert string_apply(2, (2, 0)) == [(2, (1,))]
-    assert string_apply(2, (1, 1, 0)) == [(2, (0, 1)), (2, (1, 0))]
+    assert string_apply((2, 0)) == [(1,)]
+    assert string_apply((1, 1, 0)) == [(0, 1), (1, 0)]
     # removes the LAST zero; purely mechanical on the list
-    assert string_apply(1, (0, 0, 1)) == [(1, (0, 0))]
+    assert string_apply((0, 0, 1)) == [(0, 0)]
     with pytest.raises(ValueError):
-        string_apply(2, (1, 1))
+        string_apply((1, 1))
     with pytest.raises(ValueError):
-        string_apply(2, (0,))
+        string_apply((0,))
     with pytest.raises(ValueError):
-        string_apply(1, (0, 0))
+        string_apply((0, 0))
 
 
 def test_socle_compute_agreement_anchors():
