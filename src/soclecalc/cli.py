@@ -28,7 +28,7 @@ from .qseries import eisenstein
 from .report import CheckResult, failed, jsonable, passed
 from .socle import (
     SocleQuery,
-    _compositions,
+    compositions,
     iter_socle_queries,
     relation_integral_check,
     socle_compute,
@@ -165,7 +165,7 @@ def suite_string(g_max: int, n_max: int = 5) -> list[CheckResult]:
     checks = []
     for g in range(1, g_max + 1):
         for n in range(1, n_max + 1):
-            for c in _compositions(g - 1, n):
+            for c in compositions(g - 1, n):
                 d = tuple(x + 1 for x in c)
                 checks.append(verify_string_consistency(g, d))
     return checks
@@ -177,7 +177,7 @@ def suite_relation(
     checks = []
     for g in range(1, g_max + 1):
         for m in range(1, m_max + 1):
-            for c in _compositions(g - 1, m):
+            for c in compositions(g - 1, m):
                 d = tuple(x + 1 for x in c)
                 checks.append(relation_integral_check(g, d))
     rng = random.Random(seed)

@@ -7,7 +7,6 @@ floating point is never used, so all comparisons are exact.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +19,6 @@ __all__ = [
 ]
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
 
 
 def bernoulli(k: int) -> Fraction:
@@ -29,17 +27,13 @@ def bernoulli(k: int) -> Fraction:
     Only even indices are consumed by the intersection formulas, so the
     B_1 convention never becomes observable there.  Values are computed
     by the defining recurrence and cached; the cache grows to the
-    largest index requested and tolerates concurrent readers.
+    largest index requested.
     """
     if k < 0:
         raise ValueError(f"bernoulli index must be >= 0, got {k}")
-    if k >= len(_bernoulli_cache):
-        with _bernoulli_lock:
-            for m in range(len(_bernoulli_cache), k + 1):
-                acc = sum(
-                    math.comb(m + 1, j) * _bernoulli_cache[j] for j in range(m)
-                )
-                _bernoulli_cache.append(Fraction(-acc, m + 1))
+    for m in range(len(_bernoulli_cache), k + 1):
+        acc = sum(math.comb(m + 1, j) * _bernoulli_cache[j] for j in range(m))
+        _bernoulli_cache.append(Fraction(-acc, m + 1))
     return _bernoulli_cache[k]
 
 

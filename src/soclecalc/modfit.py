@@ -8,12 +8,13 @@ the workhorse of the top-weight verification in the elliptic module.
 Both directions work on integer columns.  Each G_k beyond q^0 is a
 divisor sum, so den_k * G_k is an integer series (den_k = 24, 240, 504);
 every monomial G2^a G4^b G6^c is kept as the integer series of
-24^a 240^b 504^c times it, built from a cached monomial of one generator
-fewer.  Recognition solves the resulting integer system modulo the
-prime 2^127 - 1, rebuilds the rational solution by rational
+24^a 240^b 504^c times it, grown to the largest order asked for.  The
+recognition matrix depends on (max_weight, order) alone and is LU
+factored once modulo the prime 2^127 - 1; each fit substitutes through
+that factorization, rebuilds the rational solution by rational
 reconstruction and certifies it exactly on every row.  Bareiss
-fraction-free elimination solves only the systems that this cannot
-certify, among them every inconsistent one, whose witness it gives.
+fraction-free elimination solves only the systems this cannot certify,
+every inconsistent one among them, and gives its witness.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Mapping
 
 from .qseries import QSeries, eisenstein
@@ -44,8 +46,8 @@ Monomial = tuple[int, int, int]
 _MARGIN = 5
 
 # the modulus of the modular solve, the Mersenne prime 2^127 - 1; its
-# reconstruction bound 2^63 is far above the numerators (< 2^28) and
-# common denominators (< 2^32) of the top-weight fits at g, m <= 6
+# reconstruction bound 2^63 is far above the numerators (< 2^50) and
+# common denominators (< 2^40) of the top-weight fits at g, m <= 8
 _PRIME = (1 << 127) - 1
 
 
@@ -96,22 +98,6 @@ class QuasimodularPoly:
     def __hash__(self) -> int:
         return hash(self._terms)
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        names = ("G2", "G4", "G6")
-        parts = []
-        for mono, coeff in self._terms:
-            factors = []
-            for name, e in zip(names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors) if factors else "1"
-            parts.append(body if coeff == 1 and factors else f"({coeff})*{body}")
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class FitInconsistency:
@@ -155,23 +141,28 @@ def _generator(k: int, order: int) -> tuple[int, tuple[int, ...]]:
     return den, tuple(c.numerator for c in scaled)
 
 
-@lru_cache(maxsize=None)
+# monomial -> its _column, grown to the largest order asked for
+_columns: dict[Monomial, tuple[int, tuple[int, ...]]] = {}
+
+
 def _column(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
-    """(scale, scale * G2^a G4^b G6^c up to q^order as integers), with
-    scale = 24^a 240^b 504^c.  Built as the cached column of the monomial
-    with one generator fewer (its last nonzero exponent lowered) times
-    that generator."""
+    """(scale, scale * G2^a G4^b G6^c up to at least q^order as integers)
+    with scale = 24^a 240^b 504^c: the column of the monomial with its
+    last nonzero exponent lowered times that generator, each new entry
+    the dot product of the lower column with the reversed generator."""
     if not any(mono):
         return 1, (1,) + (0,) * order
-    j = max(i for i, e in enumerate(mono) if e)
-    lower = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
-    scale, col = _column(lower, order)
-    den, gen = _generator(2 * j + 2, order)
-    out = [0] * (order + 1)
-    for i, x in enumerate(col):
-        if x:
-            out[i:] = [o + x * y for o, y in zip(out[i:], gen)]
-    return scale * den, tuple(out)
+    scale, col = _columns.get(mono, (0, ()))
+    if len(col) <= order:
+        j = max(i for i, e in enumerate(mono) if e)
+        scale, lower = _column(mono[:j] + (mono[j] - 1,) + mono[j + 1 :], order)
+        den, gen = _generator(2 * j + 2, order)
+        rev = gen[::-1]
+        col += tuple(
+            sum(map(mul, lower, rev[order - n :])) for n in range(len(col), order + 1)
+        )
+        _columns[mono] = scale, col = scale * den, col
+    return scale, col
 
 
 def evaluate(p: QuasimodularPoly, order: int) -> QSeries:
@@ -203,18 +194,18 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     """Recognize a truncated series as a polynomial in G2, G4, G6.
 
     Matches the coefficients of q^1 .. q^order exactly against the span
-    of the non-constant monomials of weight <= max_weight: the
-    right-hand side is scaled to integers and the system is solved
-    against the integer monomial columns.  The solve runs modulo _PRIME
-    with rational reconstruction, and its candidate counts only after an
-    exact integer check of every row.  When the columns lose rank modulo
-    _PRIME, the system is inconsistent there, or the candidate fails,
-    Bareiss fraction-free elimination solves it instead and gives the
-    inconsistency witness.  The constant monomial 1 is zero beyond q^0,
-    so it can only absorb the q^0 row; the system therefore depends on
-    (max_weight, order) alone.  It must be overdetermined by at least
-    _MARGIN surplus rows (a fit that merely interpolates proves
-    nothing); too small an order is an error, not a guess.
+    of the non-constant monomials of weight <= max_weight, scaled to an
+    integer system.  The constant monomial 1 is zero beyond q^0, so it
+    can only absorb the q^0 row; the matrix therefore depends on
+    (max_weight, order) alone, and one cached LU factorization modulo
+    _PRIME serves every fit of that size.  Each fit substitutes its
+    right-hand side through it, and the reconstructed rational candidate
+    counts only after an exact integer check of every row.  When the
+    columns lose rank modulo _PRIME, the system is inconsistent there,
+    or the candidate fails, Bareiss fraction-free elimination solves it
+    instead and gives the inconsistency witness.  The system must be
+    overdetermined by at least _MARGIN surplus rows (a fit that merely
+    interpolates proves nothing); too small an order is an error.
 
     The mode is read off the series.  With s.constant_known the
     coefficient of 1 is s[0] minus the q^0 value of the other terms.
@@ -244,7 +235,8 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
         s.coeffs[n].numerator * (den // s.coeffs[n].denominator) for n in powers
     ]
 
-    w, det, ok = _solve_modular(matrix, rhs) or _solve_fraction_free(matrix, rhs)
+    solved = _solve_modular(max_weight, matrix, rhs)
+    w, det, ok = solved or _solve_fraction_free(matrix, rhs)
     if not ok:
         for row, b, row_power in zip(matrix, rhs, powers):
             if sum(a * x for a, x in zip(row, w)) != det * b:
@@ -260,45 +252,73 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     return QuasimodularPoly(terms)
 
 
-def _solve_modular(matrix, rhs):
-    """Solve the overdetermined integer system A z = b modulo _PRIME and
-    certify the rational solution exactly, or return None.
+@lru_cache(maxsize=None)
+def _factor_modular(max_weight: int, order: int, p: int):
+    """P A = L U modulo the prime p for the recognition matrix A of
+    (max_weight, order), L unit lower trapezoidal and U upper triangular.
 
-    Eliminates [A | b] mod _PRIME with the pivot rule of
-    _solve_fraction_free, back-substitutes, and rebuilds z = w / det
-    component by component with a running common denominator det (Wang's
-    rational reconstruction, numerator and denominator both at most
-    isqrt(_PRIME // 2)).  The candidate counts only if A w == det * b
-    holds exactly in integers on every row, surplus rows included.  By
-    then A has full column rank mod _PRIME, hence over Q, so a certified
-    w / det is the unique solution: the same fractions as the (w, det,
-    True) of _solve_fraction_free.
+    Left-looking: column j of L and U comes from column j of A and the
+    first j columns of L, and each entry is one integer dot product
+    reduced once mod p (delayed reduction, as in FFLAS-FFPACK).  The
+    pivot is the first nonzero Schur entry at or below row j, the rule
+    of _solve_fraction_free.  Returns (perm, lower, upper): row i of P A
+    is q^(perm[i] + 1), lower[i] is L[i][:i], and upper[j] is the inverse
+    of U[j][j] and U[:j][j]; None when the columns lose rank mod p.
+    """
+    cols = [_column(m, order)[1] for m in basis(max_weight) if any(m)]
+    perm = list(range(order))
+    lower = [[] for _ in perm]
+    upper = []
+    for j, col in enumerate(cols):
+        # rows < j: U[:j][j]; rows >= j: the Schur entries of column j
+        v = []
+        for row, r in zip(lower, perm):
+            v.append((col[r + 1] - sum(map(mul, row, v))) % p)
+        k = next((k for k in range(j, order) if v[k]), None)
+        if k is None:
+            return None
+        perm[j], perm[k] = perm[k], perm[j]
+        lower[j], lower[k] = lower[k], lower[j]
+        v[j], v[k] = v[k], v[j]
+        inv = pow(v[j], -1, p)
+        for row, x in zip(lower[j + 1 :], v[j + 1 :]):
+            row.append(x * inv % p)
+        upper.append((inv, v[:j]))
+    return perm, lower, upper
 
-    Returns None when A loses rank mod _PRIME, when [A | b] is
-    inconsistent mod _PRIME (and so over Q: the caller needs Bareiss's
+
+def _solve_modular(max_weight, matrix, rhs):
+    """Solve the overdetermined integer system A z = b through the cached
+    _factor_modular of A, and certify the rational solution exactly.
+
+    Substitutes forward through L, requires every surplus row to reduce
+    to 0, substitutes back through U, and rebuilds z = w / det with a
+    running common denominator det (Wang's rational reconstruction,
+    numerator and denominator both at most isqrt(_PRIME // 2)).  The
+    candidate counts only if A w == det * b holds exactly on every row;
+    A then has full column rank over Q, so w / det is the unique
+    solution, the (w, det, True) of _solve_fraction_free.  None when A
+    loses rank mod _PRIME, when a surplus row does not reduce to 0 (then
+    A z = b is inconsistent over Q too, and the caller needs Bareiss's
     witness), or when reconstruction or certification fails.
     """
     p = _PRIME
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [[x % p for x in row] + [b % p] for row, b in zip(matrix, rhs)]
-    for c in range(ncols):
-        pr = next((i for i in range(c, nrows) if aug[i][c]), None)
-        if pr is None:
-            return None
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = pow(aug[c][c], -1, p)
-        aug[c][c:] = tail = [x * inv % p for x in aug[c][c:]]
-        for row in aug[c + 1 :]:
-            f = row[c]
-            if f:
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
-    if any(aug[i][ncols] for i in range(ncols, nrows)):
+    lu = _factor_modular(max_weight, len(matrix), p)
+    if lu is None:
         return None
+    perm, lower, upper = lu
+    ncols = len(upper)
+    b = [rhs[r] % p for r in perm]
+    y = []
+    for row, x in zip(lower[:ncols], b):
+        y.append((x - sum(map(mul, row, y))) % p)
+    for row, x in zip(lower[ncols:], b[ncols:]):
+        if (x - sum(map(mul, row, y))) % p:
+            return None
     z = [0] * ncols
-    for r in reversed(range(ncols)):
-        row = aug[r]
-        z[r] = (row[ncols] - sum(row[k] * z[k] for k in range(r + 1, ncols))) % p
+    for inv, u in reversed(upper):
+        x = z[len(u)] = y.pop() * inv % p
+        y = [a - c * x for a, c in zip(y, u)]
 
     bound = isqrt(p // 2)
     det = 1

@@ -98,23 +98,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __str__(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if n == 0:
-                if not self.constant_known:
-                    parts.append("(q^0 unknown)")
-                elif c != 0:
-                    parts.append(str(c))
-                continue
-            if c == 0:
-                continue
-            q = "q" if n == 1 else f"q^{n}"
-            parts.append(q if c == 1 else f"{c}*{q}")
-        if not parts:
-            return "0"
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def divisor_sigma(power: int, n: int) -> int:
     """sigma_power(n), the sum of d^power over divisors d of n."""

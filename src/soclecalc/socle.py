@@ -45,6 +45,7 @@ __all__ = [
     "SocleQuery",
     "SocleResult",
     "Wheel",
+    "compositions",
     "faber",
     "iter_socle_queries",
     "iter_wheels",
@@ -118,12 +119,13 @@ class Wheel:
             raise ValueError("need one genus >= 0 per vertex")
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Stream the ordered tuples of parts integers >= 0 summing to total."""
     if parts == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -134,7 +136,7 @@ def iter_wheels(m: int, total_genus: int) -> Iterator[Wheel]:
         raise ValueError("need m >= 1 and total_genus >= 0")
     for tail in permutations(range(2, m + 1)):
         cycle = (1,) + tail
-        for genera in _compositions(total_genus, m):
+        for genera in compositions(total_genus, m):
             yield Wheel(cycle, genera)
 
 

@@ -278,7 +278,8 @@ def test_fit_and_top_weight_run_no_series_products(monkeypatch):
 
     monkeypatch.setattr(QSeries, "__mul__", forbidden)
     monkeypatch.setattr(QSeries, "__rmul__", forbidden)
-    modfit._column.cache_clear()
+    modfit._columns.clear()
+    modfit._factor_modular.cache_clear()
     modfit._generator.cache_clear()
     assert fit(q_d_q(eisenstein(2, 14)), 4) == QuasimodularPoly(
         {(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)}
@@ -320,3 +321,40 @@ def test_bareiss_runs_only_when_the_modular_solve_cannot_certify(monkeypatch):
     calls.clear()
     assert top_weight_check(5, 1, 4, 58).ok
     assert calls == []
+
+
+def test_top_weight_splits_of_one_size_factor_once():
+    from soclecalc import modfit
+    from soclecalc.elliptic import top_weight_check
+
+    # the recognition matrix depends on (max_weight, order) alone, and
+    # two splits j+ + j- = m of one (g, m) share both
+    q_order = len(basis(2 * 3 - 2 + 2 * 3)) + 5
+    modfit._factor_modular.cache_clear()
+    assert top_weight_check(3, 1, 2, q_order).ok
+    assert top_weight_check(3, 3, 0, q_order).ok
+    info = modfit._factor_modular.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_warm_factorization_still_reports_the_inconsistency():
+    from soclecalc import modfit
+
+    p = QuasimodularPoly(
+        {
+            (0, 0, 0): Fraction(1, 3),
+            (2, 0, 0): -2,
+            (0, 1, 0): Fraction(5, 6),
+            (1, 0, 1): Fraction(-7, 4),
+        }
+    )
+    s = evaluate(p, 16)
+    modfit._factor_modular.cache_clear()
+    assert fit(s, 8) == p
+    # a pivot row perturbed: the solution of the pivot rows changes, and
+    # the first surplus row it misses is the Bareiss witness
+    coeffs = list(s.coeffs)
+    coeffs[5] += 1
+    assert fit(QSeries(tuple(coeffs)), 8) == FitInconsistency(11, 8)
+    info = modfit._factor_modular.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
