@@ -22,7 +22,7 @@ from .elliptic import (
     check_propagator_identity,
     top_weight_check,
 )
-from .exact import factorial, format_rational
+from .exact import double_factorial_odd, format_rational
 from .modfit import basis
 from .qseries import eisenstein
 from .report import CheckResult, failed, jsonable, passed
@@ -149,9 +149,7 @@ def suite_dr(g_max: int) -> list[CheckResult]:
             for a2 in range(1, 5):
                 checks.append(dr3_bssz_check(g, a1, a2))
     for g in range(0, 13):
-        lhs = dr_standard(g) * (
-            factorial(2 * g + 1) // (2**g * factorial(g))
-        ) * 4**g
+        lhs = dr_standard(g) * double_factorial_odd(2 * g + 1) * 4**g
         if lhs == 1:
             checks.append(passed("dr.standard_unit", g=g))
         else:

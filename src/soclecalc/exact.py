@@ -18,6 +18,9 @@ __all__ = [
     "format_rational",
 ]
 
+# n!, which raises ValueError for n < 0
+factorial = math.factorial
+
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 
 
@@ -35,12 +38,6 @@ def bernoulli(k: int) -> Fraction:
         acc = sum(math.comb(m + 1, j) * _bernoulli_cache[j] for j in range(m))
         _bernoulli_cache.append(Fraction(-acc, m + 1))
     return _bernoulli_cache[k]
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial argument must be >= 0, got {n}")
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:

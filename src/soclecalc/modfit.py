@@ -5,16 +5,18 @@ the generators to truncated q-series, and the inverse problem: exact
 recognition of a truncated series as such a polynomial.  Recognition is
 the workhorse of the top-weight verification in the elliptic module.
 
-Both directions work on integer columns.  Each G_k beyond q^0 is a
-divisor sum, so den_k * G_k is an integer series (den_k = 24, 240, 504);
-every monomial G2^a G4^b G6^c is kept as the integer series of
+Both directions work on integer columns, one store for all of them.
+Each G_k beyond q^0 is a divisor sum, so den_k * G_k is an integer
+series (den_k = 24, 240, 504) and is the generator's column; every
+monomial G2^a G4^b G6^c is kept as the integer series of
 24^a 240^b 504^c times it, grown to the largest order asked for.  The
 recognition matrix depends on (max_weight, order) alone and is LU
 factored once modulo the prime 2^127 - 1; each fit substitutes through
-that factorization, rebuilds the rational solution by rational
-reconstruction and certifies it exactly on every row.  Bareiss
-fraction-free elimination solves only the systems this cannot certify,
-every inconsistent one among them, and gives its witness.
+that factorization and rebuilds a rational candidate by rational
+reconstruction.  One exact scan of every row decides consistency:
+Bareiss fraction-free elimination solves only the systems whose
+candidate is missing or fails it, and its first unmatched row is the
+witness of every inconsistent one.
 """
 
 from __future__ import annotations
@@ -127,41 +129,43 @@ def basis(max_weight: int) -> list[Monomial]:
     return sorted(out, key=_basis_key)
 
 
-@lru_cache(maxsize=None)
-def _generator(k: int, order: int) -> tuple[int, tuple[int, ...]]:
-    """(den_k, den_k * G_k up to q^order as integers), where den_k is the
-    denominator of the constant term -B_k/(2k): 24, 240, 504 for k = 2,
-    4, 6.  Every coefficient beyond q^0 is a divisor sum, so the scaled
-    series is integral; that is checked here, not assumed."""
-    series = eisenstein(k, order)
-    den = series.coeffs[0].denominator
-    scaled = [c * den for c in series.coeffs]
-    if any(c.denominator != 1 for c in scaled):
-        raise ArithmeticError(f"{den} * G_{k} is not an integer series")
-    return den, tuple(c.numerator for c in scaled)
-
-
 # monomial -> its _column, grown to the largest order asked for
 _columns: dict[Monomial, tuple[int, tuple[int, ...]]] = {}
 
 
 def _column(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     """(scale, scale * G2^a G4^b G6^c up to at least q^order as integers)
-    with scale = 24^a 240^b 504^c: the column of the monomial with its
-    last nonzero exponent lowered times that generator, each new entry
-    the dot product of the lower column with the reversed generator."""
+    with scale = 24^a 240^b 504^c, kept in _columns.  A generator G_k's
+    column is den_k * eisenstein(k, order), den_k the denominator of the
+    constant term -B_k/(2k); every coefficient beyond q^0 is a divisor
+    sum, so it is integral, and that is checked here, not assumed.  Any
+    other monomial's is the column of the monomial with its last nonzero
+    exponent lowered times that generator's, each new entry the dot
+    product of the lower column with the reversed generator column."""
     if not any(mono):
         return 1, (1,) + (0,) * order
     scale, col = _columns.get(mono, (0, ()))
     if len(col) <= order:
         j = max(i for i, e in enumerate(mono) if e)
-        scale, lower = _column(mono[:j] + (mono[j] - 1,) + mono[j + 1 :], order)
-        den, gen = _generator(2 * j + 2, order)
-        rev = gen[::-1]
-        col += tuple(
-            sum(map(mul, lower, rev[order - n :])) for n in range(len(col), order + 1)
-        )
-        _columns[mono] = scale, col = scale * den, col
+        unit = tuple(int(i == j) for i in range(3))
+        if mono == unit:
+            k = 2 * j + 2
+            series = eisenstein(k, order)
+            scale = series.coeffs[0].denominator
+            scaled = [c * scale for c in series.coeffs]
+            if any(c.denominator != 1 for c in scaled):
+                raise ArithmeticError(f"{scale} * G_{k} is not an integer series")
+            col = tuple(c.numerator for c in scaled)
+        else:
+            scale, lower = _column(tuple(e - u for e, u in zip(mono, unit)), order)
+            den, gen = _column(unit, order)
+            rev = gen[order::-1]
+            col += tuple(
+                sum(map(mul, lower, rev[order - n :]))
+                for n in range(len(col), order + 1)
+            )
+            scale *= den
+        _columns[mono] = scale, col
     return scale, col
 
 
@@ -198,12 +202,10 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     integer system.  The constant monomial 1 is zero beyond q^0, so it
     can only absorb the q^0 row; the matrix therefore depends on
     (max_weight, order) alone, and one cached LU factorization modulo
-    _PRIME serves every fit of that size.  Each fit substitutes its
-    right-hand side through it, and the reconstructed rational candidate
-    counts only after an exact integer check of every row.  When the
-    columns lose rank modulo _PRIME, the system is inconsistent there,
-    or the candidate fails, Bareiss fraction-free elimination solves it
-    instead and gives the inconsistency witness.  The system must be
+    _PRIME serves every fit of that size.  One exact integer scan of
+    every row decides consistency: it accepts the modular candidate, or,
+    when there is none or it misses a row, accepts the Bareiss solution
+    or names the first row that solution misses.  The system must be
     overdetermined by at least _MARGIN surplus rows (a fit that merely
     interpolates proves nothing); too small an order is an error.
 
@@ -235,13 +237,18 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
         s.coeffs[n].numerator * (den // s.coeffs[n].denominator) for n in powers
     ]
 
-    solved = _solve_modular(max_weight, matrix, rhs)
-    w, det, ok = solved or _solve_fraction_free(matrix, rhs)
-    if not ok:
-        for row, b, row_power in zip(matrix, rhs, powers):
-            if sum(a * x for a, x in zip(row, w)) != det * b:
-                return FitInconsistency(row_power, max_weight)
-        raise AssertionError("inconsistent solve reported but residual is zero")
+    def unmatched(w, det):
+        # the first q-power whose row w / det misses, or None
+        rows = zip(powers, matrix, rhs)
+        return next((n for n, row, b in rows if sum(map(mul, row, w)) != det * b), None)
+
+    solved = _solve_modular(max_weight, rhs)
+    if solved is None or unmatched(*solved):
+        solved = _solve_fraction_free(matrix, rhs)
+        miss = unmatched(*solved)
+        if miss:
+            return FitInconsistency(miss, max_weight)
+    w, det = solved
     coeffs = [Fraction(scale * x, den * det) for (scale, _), x in zip(cols, w)]
     terms = dict(zip(monos, coeffs))
     if s.constant_known:
@@ -287,34 +294,27 @@ def _factor_modular(max_weight: int, order: int, p: int):
     return perm, lower, upper
 
 
-def _solve_modular(max_weight, matrix, rhs):
-    """Solve the overdetermined integer system A z = b through the cached
-    _factor_modular of A, and certify the rational solution exactly.
+def _solve_modular(max_weight, rhs):
+    """A candidate (w, det) for A z = b, A the recognition matrix of
+    (max_weight, len(rhs)), from the cached _factor_modular of A; fit's
+    exact scan of every row decides whether it counts.
 
-    Substitutes forward through L, requires every surplus row to reduce
-    to 0, substitutes back through U, and rebuilds z = w / det with a
-    running common denominator det (Wang's rational reconstruction,
-    numerator and denominator both at most isqrt(_PRIME // 2)).  The
-    candidate counts only if A w == det * b holds exactly on every row;
-    A then has full column rank over Q, so w / det is the unique
-    solution, the (w, det, True) of _solve_fraction_free.  None when A
-    loses rank mod _PRIME, when a surplus row does not reduce to 0 (then
-    A z = b is inconsistent over Q too, and the caller needs Bareiss's
-    witness), or when reconstruction or certification fails.
+    Substitutes the pivot rows forward through L and back through U and
+    rebuilds z = w / det with a running common denominator det (Wang's
+    rational reconstruction, numerator and denominator both at most
+    isqrt(_PRIME // 2)).  A then has full column rank over Q, so a
+    candidate that matches every row is the unique solution.  None when
+    A loses rank mod _PRIME or reconstruction fails.
     """
     p = _PRIME
-    lu = _factor_modular(max_weight, len(matrix), p)
+    lu = _factor_modular(max_weight, len(rhs), p)
     if lu is None:
         return None
     perm, lower, upper = lu
     ncols = len(upper)
-    b = [rhs[r] % p for r in perm]
     y = []
-    for row, x in zip(lower[:ncols], b):
-        y.append((x - sum(map(mul, row, y))) % p)
-    for row, x in zip(lower[ncols:], b[ncols:]):
-        if (x - sum(map(mul, row, y))) % p:
-            return None
+    for row, r in zip(lower[:ncols], perm):
+        y.append((rhs[r] - sum(map(mul, row, y))) % p)
     z = [0] * ncols
     for inv, u in reversed(upper):
         x = z[len(u)] = y.pop() * inv % p
@@ -336,10 +336,7 @@ def _solve_modular(max_weight, matrix, rhs):
             return None
         w = [v * t1 for v in w] + [r1]
         det *= t1
-    for row, b in zip(matrix, rhs):
-        if sum(a * v for a, v in zip(row, w)) != det * b:
-            return None
-    return w, det, True
+    return w, det
 
 
 def _solve_fraction_free(matrix, rhs):
@@ -349,11 +346,12 @@ def _solve_fraction_free(matrix, rhs):
     Forward elimination runs over all rows; the pivot is the first
     nonzero entry at or below the current row.  Bareiss entries are
     nonzero multiples of the Gauss-Jordan entries, so the pivot rows are
-    the ones Gauss-Jordan picks.  Returns (w, det, consistent): det is the
-    determinant of the pivot rows, w = det * z is the integer solution of
-    the pivot rows, and consistent says whether z satisfies every
-    surplus row too.  Raises if the columns are linearly dependent, which
-    cannot happen for distinct Eisenstein monomials with enough rows.
+    the ones Gauss-Jordan picks.  Returns (w, det): det is the
+    determinant of the pivot rows and w = det * z the integer solution
+    of the pivot rows; fit's exact scan of every row then accepts it or
+    names the first surplus row it misses, the inconsistency witness.
+    Raises if the columns are linearly dependent, which cannot happen
+    for distinct Eisenstein monomials with enough rows.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
@@ -380,5 +378,4 @@ def _solve_fraction_free(matrix, rhs):
         row = aug[r]
         acc = det * row[ncols] - sum(row[k] * w[k] for k in range(r + 1, ncols))
         w[r] = acc // row[r]
-    consistent = all(aug[i][ncols] == 0 for i in range(ncols, nrows))
-    return w, det, consistent
+    return w, det

@@ -252,13 +252,13 @@ def _necklace_value(g: int, d: tuple[int, ...]) -> Fraction:
         return _necklace_normalization(g, len(d) - 1) * necklace_lhs(g, d[:-1])
     if zeros == 0:
         # lift: bump the largest exponent, append a zero; the lifted
-        # canonical query string-reduces to this query plus sibling
-        # branches, each strictly more concentrated (sum d_i^2 grows),
-        # so the recursion terminates
-        lifted = (d[0] + 1,) + d[1:]
-        value = _necklace_value(g, lifted + (0,))
-        for j in range(1, len(d)):
-            branch = lifted[:j] + (lifted[j] - 1,) + lifted[j + 1 :]
+        # canonical query string-reduces to this query (its first
+        # reduction) plus sibling branches, each strictly more
+        # concentrated (sum d_i^2 grows), so the recursion terminates
+        lifted = (d[0] + 1,) + d[1:] + (0,)
+        _, *branches = string_apply(lifted)
+        value = _necklace_value(g, lifted)
+        for branch in branches:
             value -= _necklace_value(g, _canonical(branch))
         return value
     # two or more zeros: keep applying the string equation

@@ -1,9 +1,12 @@
 """Byte-identical CLI output on a fixed golden command set.
 
-Each row is (argv, exit code, sha256 of stdout).  The digests were
-recorded from the CLI before its parameter handling was simplified; every
-command stays inside the sizes the suites ran back then, so a refactor of
-the CLI, the suites or the rendering must leave these bytes unchanged.
+Each row is (argv, exit code, sha256 of stdout).  The first ten digests
+were recorded from the CLI before its parameter handling was simplified;
+every command stays inside the sizes the suites ran back then, so a
+refactor of the CLI, the suites or the rendering must leave these bytes
+unchanged.  Each later row was recorded at the commit before the one
+that added it: the top-weight suite at g, m <= 6 and the default
+`verify all`.
 """
 
 import hashlib
@@ -64,6 +67,16 @@ GOLDEN = [
         "table eisenstein --k 2,4,6 --order 10 --format json",
         0,
         "5bbb237df6091d78dc16c45facd73d38c181c463c246d625c67fa7e4ae2317b7",
+    ),
+    (
+        "verify topweight --g-max 6 --m-max 6 --format json",
+        0,
+        "fe9b479a55655c7279c95307578539e37cbf326a29a52f12e2bb2e3d42f0d71d",
+    ),
+    (
+        "verify all --format json",
+        0,
+        "4efcd4743a8f84bbcaade0d4dc4f68ff2c878d83e16e097fd542f63ca963901c",
     ),
 ]
 

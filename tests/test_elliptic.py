@@ -14,7 +14,9 @@ from soclecalc.elliptic import (
 )
 from soclecalc.modfit import (
     FitInconsistency,
+    QuasimodularPoly,
     basis,
+    evaluate,
     fit,
     graded_part,
     monomial_weight,
@@ -269,6 +271,43 @@ def test_top_weight_sweep_all_splits():
             for j_plus in range(1, m + 1):
                 res = top_weight_check(g, j_plus, m - j_plus, q_order)
                 assert res.ok, res
+
+
+def test_top_weight_failures_carry_their_witnesses(monkeypatch):
+    honest = necklace_coefficient_series
+
+    def plus_top_weight_g2_power(g, j_plus, j_minus, q_order):
+        # G2^(g+m-1) has the top weight 2g-2+2m, so the fit succeeds and
+        # the top graded part is off, first at q^0 by (-1/24)^(g+m-1)
+        m = j_plus + j_minus
+        extra = evaluate(QuasimodularPoly({(g + m - 1, 0, 0): 1}), q_order)
+        return honest(g, j_plus, j_minus, q_order) + extra
+
+    monkeypatch.setattr(
+        elliptic, "necklace_coefficient_series", plus_top_weight_g2_power
+    )
+    res = top_weight_check(2, 1, 1, 12)
+    assert not res.ok
+    assert res.witness == {"q_power": 0, "lhs": Fraction(-1, 13824), "rhs": 0}
+
+    def last_coefficient_plus_one(g, j_plus, j_minus, q_order):
+        series = honest(g, j_plus, j_minus, q_order)
+        coeffs = series.coeffs[:-1] + (series.coeffs[-1] + 1,)
+        return QSeries(coeffs, series.constant_known)
+
+    monkeypatch.setattr(
+        elliptic, "necklace_coefficient_series", last_coefficient_plus_one
+    )
+    # the known-constant mode, then the unknown-constant mode (j- = 0);
+    # no polynomial matches the last row, the witness is that q-power
+    for g, j_plus, j_minus, q_order in ((2, 1, 1, 12), (3, 2, 0, 16)):
+        res = top_weight_check(g, j_plus, j_minus, q_order)
+        top_weight = 2 * g - 2 + 2 * (j_plus + j_minus)
+        assert not res.ok
+        assert res.witness == {
+            "fit_inconsistency": str(FitInconsistency(q_order, top_weight))
+        }
+        assert res.witness["fit_inconsistency"].endswith(f"at q^{q_order}")
 
 
 def test_top_weight_order_precondition():

@@ -280,7 +280,6 @@ def test_fit_and_top_weight_run_no_series_products(monkeypatch):
     monkeypatch.setattr(QSeries, "__rmul__", forbidden)
     modfit._columns.clear()
     modfit._factor_modular.cache_clear()
-    modfit._generator.cache_clear()
     assert fit(q_d_q(eisenstein(2, 14)), 4) == QuasimodularPoly(
         {(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)}
     )
