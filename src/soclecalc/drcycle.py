@@ -4,7 +4,10 @@ class and a power of the first cotangent class.
 Two deliberately independent evaluators are provided for the three-point
 integral: a closed summation formula (dr3_closed) and a genus recursion
 (dr3_recursive).  Their exact agreement is the module's principal
-self-check, so they share no code beyond rational arithmetic.
+self-check, so they share no code beyond rational arithmetic.  The
+recursion also serves the wheel oracle (socle.wheel_collapse_check),
+whose literal side takes its vertex integrals from dr3_recursive while
+the collapsed side takes them from dr3_closed through dr_standard.
 """
 
 from __future__ import annotations

@@ -149,9 +149,9 @@ def necklace_coefficient_series(
     if g < 1 or j_plus < 1 or j_minus < 0:
         raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
     m = j_plus + j_minus
-    coeffs = [Fraction(0)] * (q_order + 1)
+    coeffs = [0] * (q_order + 1)  # integers; QSeries makes them Fractions
     for a in range(1, q_order + 1):
-        weight = Fraction(a) ** (2 * g - 2 + m)
+        weight = a ** (2 * g - 2 + m)
         # (1 - q^a)^(-m) has coefficient C(j+m-1, m-1) at q^(a j)
         for j in range(q_order // a + 1):
             c = weight * binomial(j + m - 1, m - 1)

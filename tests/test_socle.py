@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
 
 import pytest
 
+import soclecalc.drcycle as drcycle
 import soclecalc.socle as socle
 from soclecalc.drcycle import dr_standard
 from soclecalc.socle import (
@@ -66,6 +68,23 @@ def test_wheels_enumerate_counts():
     assert {w.genera for w in w21} == {(0, 1), (1, 0)}
     # (m-1)! orientations times compositions of the genus budget
     assert len(list(iter_wheels(4, 2))) == 6 * 10
+
+
+@pytest.mark.parametrize("m,t", [(1, 2), (3, 0), (3, 2), (4, 3)])
+def test_wheel_order_is_orientations_then_genus_splits(m, t):
+    # the oriented cyclic orders in permutations order, and within each
+    # one every genus split in lexicographic order
+    splits = [c for c in product(range(t + 1), repeat=m) if sum(c) == t]
+    expected = [
+        Wheel((1,) + tail, genera)
+        for tail in permutations(range(2, m + 1))
+        for genera in splits
+    ]
+    wheels = list(iter_wheels(m, t))
+    assert wheels == expected
+    counts = Counter(w.genera for w in wheels)
+    assert set(counts) == set(splits)
+    assert set(counts.values()) == {factorial(m - 1)}
 
 
 @pytest.mark.parametrize(
@@ -280,6 +299,30 @@ def test_wheel_oracle_is_not_vacuous(monkeypatch):
     res = wheel_collapse_check(g, d)
     assert not res.ok
     assert res.witness == {"lhs": 0, "rhs": necklace_lhs(g, d)}
+
+
+@pytest.mark.parametrize(
+    "g,d", [(3, (2, 2, 1)), (4, (3, 2, 1, 1)), (6, (4, 3)), (4, (2, 2, 2, 1))]
+)
+def test_wheel_oracle_certifies_the_vertex_integral(monkeypatch, g, d):
+    # a wrong closed three-point formula moves necklace_lhs (through
+    # dr_standard) but not the literal side, which takes its vertex
+    # integrals from the genus recursion
+    closed = drcycle.dr3_closed
+
+    def scaled(k, a1, a2):
+        return (k + 2) * closed(k, a1, a2)
+
+    monkeypatch.setattr(drcycle, "dr3_closed", scaled)
+    monkeypatch.setattr(socle, "dr3_closed", scaled, raising=False)
+    dr_standard.cache_clear()
+    try:
+        assert dr_standard(2) == Fraction(1, 60)
+        res = wheel_collapse_check(g, d)
+    finally:
+        dr_standard.cache_clear()
+    assert not res.ok
+    assert res.witness["lhs"] != res.witness["rhs"]
 
 
 def test_wheel_oracle_limit(monkeypatch):
