@@ -5,8 +5,14 @@ were recorded from the CLI before its parameter handling was simplified;
 every command stays inside the sizes the suites ran back then, so a
 refactor of the CLI, the suites or the rendering must leave these bytes
 unchanged.  Each later row was recorded at the commit before the one
-that added it: the top-weight suite at g, m <= 6 and the default
-`verify all`.
+that added it: the top-weight suite at g, m <= 6, the default
+`verify all`, and the relation suite with 500 wheel-oracle samples
+(961 passing checks) and the propagator suite at its smallest size (two
+passing checks, the second finding the mismatch at q^2, w^0).  The last
+two replace CI steps that counted the checks of those runs; a digest
+pins every count, status and id they checked.  The one fixed run kept
+out of this table is `verify topweight --g-max 8 --m-max 8`, too slow
+for Tier-1, which CI pins by its exit status and sha256.
 """
 
 import hashlib
@@ -77,6 +83,16 @@ GOLDEN = [
         "verify all --format json",
         0,
         "4efcd4743a8f84bbcaade0d4dc4f68ff2c878d83e16e097fd542f63ca963901c",
+    ),
+    (
+        "verify relation --g-max 6 --m-max 5 --samples 500 --seed 3 --format json",
+        0,
+        "eacb290d548487fa94c17ca6f8e5ce0421ec5973f5e33cf01f1e94ded91b1e39",
+    ),
+    (
+        "verify propagator --q-order 2 --w-order 1 --format json",
+        0,
+        "bb997b99bf458ebb35a74b5ea2c100d8b55992a87db02d790c240d3594d34774",
     ),
 ]
 
