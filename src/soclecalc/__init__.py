@@ -23,7 +23,6 @@ from .elliptic import (
 )
 from .exact import (
     bernoulli,
-    binomial,
     double_factorial_odd,
     factorial,
     format_rational,

@@ -216,19 +216,15 @@ def suite_topweight(
     return checks
 
 
-# suite name -> runner of the parsed arguments, in `verify all` order; the
-# runners look the suite functions up at call time, so a wrapper installed
-# on the module attribute sees every call
+# suite name -> the flags its suite_<name> reads, in argument order, and
+# the suites in `verify all` order; cmd_verify passes exactly these flags
+# and echoes exactly these in the JSON config
 SUITES = {
-    "dr": lambda args: suite_dr(args.g_max),
-    "string": lambda args: suite_string(args.g_max),
-    "relation": lambda args: suite_relation(
-        args.g_max, args.m_max, args.samples, args.seed
-    ),
-    "propagator": lambda args: suite_propagator(args.q_order, args.w_order),
-    "topweight": lambda args: suite_topweight(
-        args.g_max, args.m_max, args.g, args.m
-    ),
+    "dr": ("g_max",),
+    "string": ("g_max",),
+    "relation": ("g_max", "m_max", "samples", "seed"),
+    "propagator": ("q_order", "w_order"),
+    "topweight": ("g_max", "m_max", "g", "m"),
 }
 
 
@@ -346,27 +342,18 @@ def cmd_verify(args) -> int:
             f"not to {args.suite!r}"
         )
     names = SUITES if args.suite == "all" else (args.suite,)
-    checks = [c for name in names for c in SUITES[name](args)]
+    checks, config = [], {}
+    for name in names:
+        flags = {flag: getattr(args, flag) for flag in SUITES[name]}
+        # looked up at call time, so a wrapper installed on the module
+        # attribute sees every call
+        checks += globals()[f"suite_{name}"](*flags.values())
+        # each flag once, where it is first read; --g/--m only when given
+        config.update((f, v) for f, v in flags.items() if v is not None)
     if not checks:
         raise ValueError(
             f"suite {args.suite!r} ran no checks for these parameters"
         )
-    # every flag is echoed, but each suite reads only its own: dr reads
-    # g_max; string g_max (with n <= 5); relation g_max, m_max, samples
-    # and seed; propagator q_order and w_order; topweight g_max, m_max, g
-    # and m, at the order len(basis(W)) + 5 that each check id shows
-    config = {
-        "q_order": args.q_order,
-        "w_order": args.w_order,
-        "g_max": args.g_max,
-        "fmt": args.format,
-        "seed": args.seed,
-        "m_max": args.m_max,
-        "samples": args.samples,
-    }
-    for x in ("g", "m"):
-        if getattr(args, x) is not None:
-            config[x] = getattr(args, x)
     print(render_report(args.suite, checks, args.format, config))
     return EXIT_OK if all(c.ok for c in checks) else EXIT_DISAGREE
 

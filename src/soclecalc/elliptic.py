@@ -15,8 +15,9 @@ Eisenstein divisor-power convention.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .exact import bernoulli, binomial, factorial
+from .exact import bernoulli, factorial
 from .modfit import FitInconsistency, evaluate, fit, graded_part
 from .qseries import QSeries, divisor_sigma, eisenstein, q_d_q
 from .report import CheckResult, failed, passed
@@ -154,7 +155,7 @@ def necklace_coefficient_series(
         weight = a ** (2 * g - 2 + m)
         # (1 - q^a)^(-m) has coefficient C(j+m-1, m-1) at q^(a j)
         for j in range(q_order // a + 1):
-            c = weight * binomial(j + m - 1, m - 1)
+            c = weight * comb(j + m - 1, m - 1)
             for start in (a * j_minus, a * j_plus):
                 pos = start + a * j
                 if pos == 0:

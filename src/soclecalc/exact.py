@@ -12,7 +12,6 @@ from functools import lru_cache
 
 __all__ = [
     "bernoulli",
-    "binomial",
     "double_factorial_odd",
     "factorial",
     "format_rational",
@@ -38,12 +37,6 @@ def bernoulli(k: int) -> Fraction:
         acc = sum(math.comb(m + 1, j) * _bernoulli_cache[j] for j in range(m))
         _bernoulli_cache.append(Fraction(-acc, m + 1))
     return _bernoulli_cache[k]
-
-
-def binomial(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return math.comb(n, k)
 
 
 @lru_cache(maxsize=None)

@@ -36,11 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import prod
+from math import comb, prod
 from typing import Iterator, Sequence
 
 from .drcycle import dr_standard, dr3_recursive
-from .exact import bernoulli, binomial, double_factorial_odd, factorial
+from .exact import bernoulli, double_factorial_odd, factorial
 from .report import CheckResult, failed, passed
 
 __all__ = [
@@ -373,7 +373,7 @@ def wheel_collapse_check(g: int, d: Sequence[int]) -> CheckResult:
     d = tuple(int(x) for x in d)
     rhs = necklace_lhs(g, d)  # validates d before any wheel is built
     m = len(d)
-    wheels = factorial(m - 1) * binomial(g - 2 + m, m - 1)
+    wheels = factorial(m - 1) * comb(g - 2 + m, m - 1)
     if wheels > _MAX_WHEELS:
         raise ValueError(
             f"wheel oracle for g={g}, d={d} needs {wheels} wheels; "

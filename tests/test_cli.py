@@ -156,6 +156,37 @@ def test_verify_topweight_runs_requested_genus(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,config",
+    [
+        (("dr", "--g-max", "1"), {"g_max": 1}),
+        (("string", "--g-max", "2"), {"g_max": 2}),
+        (
+            ("relation", "--g-max", "2", "--m-max", "2", "--samples", "3", "--seed", "5"),
+            {"g_max": 2, "m_max": 2, "samples": 3, "seed": 5},
+        ),
+        (("propagator", "--q-order", "4", "--w-order", "2"), {"q_order": 4, "w_order": 2}),
+        # topweight picks each check's order itself (q_order=7 here), so
+        # the requested --q-order 50 is not read and not echoed
+        (("topweight", "--g-max", "1", "--m-max", "1", "--q-order", "50"), {"g_max": 1, "m_max": 1}),
+        (
+            ("topweight", "--g-max", "2", "--m-max", "2", "--g", "2", "--m", "1"),
+            {"g_max": 2, "m_max": 2, "g": 2, "m": 1},
+        ),
+        (
+            ("all", "--g-max", "1", "--m-max", "1", "--samples", "2", "--q-order", "4", "--w-order", "2"),
+            {"g_max": 1, "m_max": 1, "samples": 2, "seed": 0, "q_order": 4, "w_order": 2},
+        ),
+    ],
+    ids=["dr", "string", "relation", "propagator", "topweight", "topweight-g-m", "all"],
+)
+def test_verify_config_echoes_exactly_the_flags_read(capsys, argv, config):
+    # each flag its suites read, once, in the order first read
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["config"].items()) == list(config.items())
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("verify", "dr", "--g", "2"),

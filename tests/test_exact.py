@@ -4,7 +4,6 @@ import pytest
 
 from soclecalc.exact import (
     bernoulli,
-    binomial,
     double_factorial_odd,
     factorial,
     format_rational,
@@ -60,11 +59,8 @@ def test_double_factorial_links_to_factorial():
 def test_factorial_binomial():
     assert factorial(0) == 1
     assert factorial(6) == 720
-    assert binomial(5, 2) == 10
     with pytest.raises(ValueError):
         factorial(-2)
-    with pytest.raises(ValueError):
-        binomial(3, 4)
 
 
 def test_rational_serialization_round_trip():

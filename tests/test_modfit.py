@@ -168,8 +168,9 @@ def test_graded_decomposition_sums_back():
 
 
 # ------------------------------------------------------------------
-# Reference recognition: Fraction column products and Gauss-Jordan
-# elimination over the rationals, kept here as the oracle of fit.
+# Reference recognition: Fraction column products and Gaussian
+# elimination with back substitution over the rationals, kept here as
+# the oracle of fit.
 
 
 def _ref_monomial_series(mono, order):
@@ -184,25 +185,24 @@ def _ref_solve(matrix, rhs):
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = []
-    r = 0
+    # elimination below each pivot; every column has one, so the pivot of
+    # column c ends up in row c
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        pr = next((i for i in range(c, nrows) if aug[i][c] != 0), None)
         if pr is None:
             raise ValueError("dependent monomial columns; increase the order")
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
+        aug[c], aug[pr] = aug[pr], aug[c]
+        pivot = aug[c]
+        for i in range(c + 1, nrows):
+            if aug[i][c] != 0:
+                f = aug[i][c] / pivot[c]
+                aug[i][c:] = [x - f * y for x, y in zip(aug[i][c:], pivot[c:])]
     x = [Fraction(0)] * ncols
-    for rr, cc in pivots:
-        x[cc] = aug[rr][ncols]
-    consistent = all(aug[i][ncols] == 0 for i in range(r, nrows))
+    for c in reversed(range(ncols)):
+        row = aug[c]
+        tail = sum(row[j] * x[j] for j in range(c + 1, ncols))
+        x[c] = (row[ncols] - tail) / row[c]
+    consistent = all(aug[i][ncols] == 0 for i in range(ncols, nrows))
     return x, consistent
 
 
