@@ -19,7 +19,7 @@ from math import comb
 
 from .exact import bernoulli, factorial
 from .modfit import FitInconsistency, evaluate, fit, graded_part
-from .qseries import QSeries, divisor_sigma, eisenstein, q_d_q
+from .qseries import QSeries, divisor_sigmas, eisenstein, q_d_q
 from .report import CheckResult, failed, passed
 
 __all__ = [
@@ -119,8 +119,7 @@ def check_divisor_power_k_fails(q_order: int, w_order: int) -> CheckResult:
     for e in range(0, w_order + 1, 2):
         scale = Fraction(2, factorial(e))
         rows[e] = QSeries(
-            (rows[e][0],)
-            + tuple(scale * divisor_sigma(e + 2, n) for n in range(1, q_order + 1))
+            (rows[e][0],) + tuple(scale * x for x in divisor_sigmas(e + 2, q_order))
         )
     wrong = _compare_with_propagator(rows, q_order, w_order)
     check = "elliptic.propagator_must_fail_with_divisor_power_k"

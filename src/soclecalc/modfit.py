@@ -10,20 +10,20 @@ Each G_k beyond q^0 is a divisor sum, so den_k * G_k is an integer
 series (den_k = 24, 240, 504) and is the generator's column; every
 monomial G2^a G4^b G6^c is kept as the integer series of
 24^a 240^b 504^c times it, grown to the largest order asked for.  The
-recognition matrix depends on (max_weight, order) alone and is LU
-factored once modulo the prime 2^127 - 1; each fit substitutes through
-that factorization and rebuilds a rational candidate by rational
-reconstruction.  One exact scan of every row decides consistency:
-Bareiss fraction-free elimination solves only the systems whose
-candidate is missing or fails it, and its first unmatched row is the
-witness of every inconsistent one.
+recognition matrix depends on (max_weight, order) alone, and each is a
+leading block of the larger ones, so one LU factorization modulo the
+prime 2^127 - 1, grown in place to the largest matrix asked for, serves
+them all; each fit substitutes through its leading block and rebuilds a
+rational candidate by rational reconstruction.  One exact scan of every
+row decides consistency: Bareiss fraction-free elimination solves only
+the systems whose candidate is missing or fails it, and its first
+unmatched row is the witness of every inconsistent one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Mapping
@@ -48,8 +48,9 @@ Monomial = tuple[int, int, int]
 _MARGIN = 5
 
 # the modulus of the modular solve, the Mersenne prime 2^127 - 1; its
-# reconstruction bound 2^63 is far above the numerators (< 2^50) and
-# common denominators (< 2^40) of the top-weight fits at g, m <= 8
+# reconstruction bound 2^63 is above the numerators it rebuilds (< 2^57)
+# and the common denominators (< 2^50) of the top-weight fits at
+# g, m <= 10, where the numerators over the final denominator reach 2^70
 _PRIME = (1 << 127) - 1
 
 
@@ -201,8 +202,9 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     of the non-constant monomials of weight <= max_weight, scaled to an
     integer system.  The constant monomial 1 is zero beyond q^0, so it
     can only absorb the q^0 row; the matrix therefore depends on
-    (max_weight, order) alone, and one cached LU factorization modulo
-    _PRIME serves every fit of that size.  One exact integer scan of
+    (max_weight, order) alone, and the leading block of one grown LU
+    factorization modulo _PRIME serves every fit (_factor_modular).  The
+    modular solve only proposes a candidate.  One exact integer scan of
     every row decides consistency: it accepts the modular candidate, or,
     when there is none or it misses a row, accepts the Bareiss solution
     or names the first row that solution misses.  The system must be
@@ -230,7 +232,8 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
         )
 
     cols = [_column(m, s.order) for m in monos]
-    matrix = [[col[n] for _, col in cols] for n in powers]
+    # rows q^1 .. q^order; a system without columns still has its rows
+    matrix = list(zip(*(col[1 : s.order + 1] for _, col in cols))) or [()] * s.order
     # the system in integers: matrix * (x_j / scale_j) = rhs / den
     den = lcm(*(s.coeffs[n].denominator for n in powers))
     rhs = [
@@ -242,7 +245,7 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
         rows = zip(powers, matrix, rhs)
         return next((n for n, row, b in rows if sum(map(mul, row, w)) != det * b), None)
 
-    solved = _solve_modular(max_weight, rhs)
+    solved = _solve_modular([col for _, col in cols], rhs)
     if solved is None or unmatched(*solved):
         solved = _solve_fraction_free(matrix, rhs)
         miss = unmatched(*solved)
@@ -259,45 +262,69 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     return QuasimodularPoly(terms)
 
 
-@lru_cache(maxsize=None)
-def _factor_modular(max_weight: int, order: int, p: int):
-    """P A = L U modulo the prime p for the recognition matrix A of
-    (max_weight, order), L unit lower trapezoidal and U upper triangular.
+# prime p -> (perm, lower, upper), P A = L U modulo p for the largest
+# recognition matrix A asked for so far, grown in place: the rows
+# q^1 .. q^len(perm) and the first len(upper) non-constant monomials.
+# Row i of P A is q^(perm[i] + 1); lower[i] is L[i][:i] for a pivot row
+# i < len(upper), and a start of L[i] below; upper[j] is the inverse of
+# U[j][j] and U[:j][j].  One modulus never serves a solve modulo another.
+_factors: dict[int, tuple[list, list, list]] = {}
 
-    Left-looking: column j of L and U comes from column j of A and the
-    first j columns of L, and each entry is one integer dot product
-    reduced once mod p (delayed reduction, as in FFLAS-FFPACK).  The
-    pivot is the first nonzero Schur entry at or below row j, the rule
-    of _solve_fraction_free.  Returns (perm, lower, upper): row i of P A
-    is q^(perm[i] + 1), lower[i] is L[i][:i], and upper[j] is the inverse
-    of U[j][j] and U[:j][j]; None when the columns lose rank mod p.
+
+def _factor_modular(cols, order: int, p: int):
+    """(perm, lower, upper) of P A = L U modulo the prime p, A the
+    recognition matrix of the columns cols and the rows q^1 .. q^order,
+    cut from _factors[p] to the pivot rows i, j < len(cols); None when
+    the columns lose rank mod p.
+
+    cols are those of the first len(cols) non-constant monomials, each
+    up to at least q^order; basis(W) is a prefix of basis(W') for
+    W <= W', so every smaller system is a leading block of the grown one.
+    Left-looking, with the pivot rule of _solve_fraction_free (the first
+    nonzero Schur entry at or below row j) scanning the rows below
+    q^order: a new column j costs one integer dot product per pivot row
+    and per row scanned, each reduced once mod p (delayed reduction, as
+    in FFLAS-FFPACK), and a row's L entries are computed against the U
+    columns when a scan first reaches it.  A scan over more rows meets
+    the same first nonzero entry, so the leading block equals a fresh
+    factorization of that size whenever every pivot row in
+    perm[:len(cols)] is below q^order; otherwise the fresh one loses
+    rank, and the answer is None.
     """
-    cols = [_column(m, order)[1] for m in basis(max_weight) if any(m)]
-    perm = list(range(order))
-    lower = [[] for _ in perm]
-    upper = []
-    for j, col in enumerate(cols):
-        # rows < j: U[:j][j]; rows >= j: the Schur entries of column j
-        v = []
-        for row, r in zip(lower, perm):
+    perm, lower, upper = _factors.setdefault(p, ([], [], []))
+    ncols = len(cols)
+    if max(perm[: min(ncols, len(upper))], default=-1) >= order:
+        return None
+    # every pivot row so far is below q^order, so every swap so far stayed
+    # within the first order positions, and they hold the rows below it
+    perm.extend(range(len(perm), order))
+    lower.extend([] for _ in range(len(lower), order))
+    for j in range(len(upper), ncols):
+        col = cols[j]
+        v = []  # U[:j][j]
+        for row, r in zip(lower, perm[:j]):
             v.append((col[r + 1] - sum(map(mul, row, v))) % p)
-        k = next((k for k in range(j, order) if v[k]), None)
-        if k is None:
+        for k in range(j, order):
+            row, r = lower[k], perm[k] + 1
+            for i in range(len(row), j):
+                inv, u = upper[i]
+                row.append((cols[i][r] - sum(map(mul, row, u))) * inv % p)
+            x = (col[r] - sum(map(mul, row, v))) % p
+            if x:
+                break
+        else:
             return None
         perm[j], perm[k] = perm[k], perm[j]
         lower[j], lower[k] = lower[k], lower[j]
-        v[j], v[k] = v[k], v[j]
-        inv = pow(v[j], -1, p)
-        for row, x in zip(lower[j + 1 :], v[j + 1 :]):
-            row.append(x * inv % p)
-        upper.append((inv, v[:j]))
-    return perm, lower, upper
+        upper.append((pow(x, -1, p), v))
+    return perm[:ncols], lower[:ncols], upper[:ncols]
 
 
-def _solve_modular(max_weight, rhs):
-    """A candidate (w, det) for A z = b, A the recognition matrix of
-    (max_weight, len(rhs)), from the cached _factor_modular of A; fit's
-    exact scan of every row decides whether it counts.
+def _solve_modular(cols, rhs):
+    """A candidate (w, det) for A z = b, A the recognition matrix of the
+    columns cols and the rows q^1 .. q^len(rhs), from _factor_modular
+    modulo _PRIME; fit's exact scan of every row decides whether it
+    counts.
 
     Substitutes the pivot rows forward through L and back through U and
     rebuilds z = w / det with a running common denominator det (Wang's
@@ -307,15 +334,14 @@ def _solve_modular(max_weight, rhs):
     A loses rank mod _PRIME or reconstruction fails.
     """
     p = _PRIME
-    lu = _factor_modular(max_weight, len(rhs), p)
+    lu = _factor_modular(cols, len(rhs), p)
     if lu is None:
         return None
     perm, lower, upper = lu
-    ncols = len(upper)
     y = []
-    for row, r in zip(lower[:ncols], perm):
+    for row, r in zip(lower, perm):
         y.append((rhs[r] - sum(map(mul, row, y))) % p)
-    z = [0] * ncols
+    z = [0] * len(upper)
     for inv, u in reversed(upper):
         x = z[len(u)] = y.pop() * inv % p
         y = [a - c * x for a, c in zip(y, u)]

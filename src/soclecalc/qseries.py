@@ -99,11 +99,16 @@ class QSeries:
     __rmul__ = __mul__
 
 
-def divisor_sigma(power: int, n: int) -> int:
-    """sigma_power(n), the sum of d^power over divisors d of n."""
-    if n < 1:
-        raise ValueError(f"divisor_sigma needs n >= 1, got {n}")
-    return sum(d**power for d in range(1, n + 1) if n % d == 0)
+def divisor_sigmas(power: int, order: int) -> list[int]:
+    """[sigma_power(1), .., sigma_power(order)], sigma_power(n) the sum of
+    d^power over the divisors d of n: one sieve that adds d^power to every
+    multiple of each d <= order."""
+    sums = [0] * (order + 1)
+    for d in range(1, order + 1):
+        dp = d**power
+        for n in range(d, order + 1, d):
+            sums[n] += dp
+    return sums[1:]
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +124,7 @@ def eisenstein(k: int, order: int) -> QSeries:
     if k < 2 or k % 2:
         raise ValueError(f"eisenstein weight must be even and >= 2, got {k}")
     coeffs = [-bernoulli(k) / (2 * k)]
-    coeffs.extend(Fraction(divisor_sigma(k - 1, n)) for n in range(1, order + 1))
+    coeffs.extend(map(Fraction, divisor_sigmas(k - 1, order)))
     return QSeries(tuple(coeffs))
 
 

@@ -11,8 +11,8 @@ that added it: the top-weight suite at g, m <= 6, the default
 passing checks, the second finding the mismatch at q^2, w^0).  The last
 two replace CI steps that counted the checks of those runs; a digest
 pins every count, status and id they checked.  The one fixed run kept
-out of this table is `verify topweight --g-max 8 --m-max 8`, too slow
-for Tier-1, which CI pins by its exit status and sha256.
+out of this table is `verify topweight --g-max 10 --m-max 10`, too
+slow for Tier-1, which CI pins by its exit status and sha256.
 
 The seven JSON `verify` rows were re-recorded when the JSON `config`
 stopped echoing every flag and began listing only the flags its suites

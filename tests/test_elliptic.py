@@ -139,7 +139,7 @@ def test_divisor_power_k_check_fails_on_agreement(monkeypatch):
     # a "variant" built with the true divisor power k-1 agrees with the
     # propagator, and the check must report that agreement as a failure
     monkeypatch.setattr(
-        elliptic, "divisor_sigma", lambda p, n: qseries.divisor_sigma(p - 1, n)
+        elliptic, "divisor_sigmas", lambda p, n: qseries.divisor_sigmas(p - 1, n)
     )
     res = check_divisor_power_k_fails(8, 8)
     assert not res.ok

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from soclecalc import modfit
+from soclecalc.cli import suite_topweight
 from soclecalc.modfit import (
     FitInconsistency,
     QuasimodularPoly,
@@ -279,7 +281,7 @@ def test_fit_and_top_weight_run_no_series_products(monkeypatch):
     monkeypatch.setattr(QSeries, "__mul__", forbidden)
     monkeypatch.setattr(QSeries, "__rmul__", forbidden)
     modfit._columns.clear()
-    modfit._factor_modular.cache_clear()
+    modfit._factors.clear()
     assert fit(q_d_q(eisenstein(2, 14)), 4) == QuasimodularPoly(
         {(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)}
     )
@@ -322,23 +324,36 @@ def test_bareiss_runs_only_when_the_modular_solve_cannot_certify(monkeypatch):
     assert calls == []
 
 
+def _grown_state(p):
+    # every number the grown factorization modulo p holds, copied
+    perm, lower, upper = modfit._factors[p]
+    return list(perm), [list(row) for row in lower], [(i, list(u)) for i, u in upper]
+
+
+def _served(max_weight, order, p):
+    monos = [m for m in basis(max_weight) if any(m)]
+    cols = [modfit._column(m, order)[1] for m in monos]
+    return modfit._factor_modular(cols, order, p)
+
+
 def test_top_weight_splits_of_one_size_factor_once():
-    from soclecalc import modfit
     from soclecalc.elliptic import top_weight_check
 
     # the recognition matrix depends on (max_weight, order) alone, and
-    # two splits j+ + j- = m of one (g, m) share both
+    # two splits j+ + j- = m of one (g, m) share both; every smaller
+    # top-weight system is a leading block of theirs
     q_order = len(basis(2 * 3 - 2 + 2 * 3)) + 5
-    modfit._factor_modular.cache_clear()
+    modfit._factors.clear()
     assert top_weight_check(3, 1, 2, q_order).ok
+    grown = _grown_state(modfit._PRIME)
+    assert len(grown[2]) == len(basis(10)) - 1
     assert top_weight_check(3, 3, 0, q_order).ok
-    info = modfit._factor_modular.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert _grown_state(modfit._PRIME) == grown
+    assert all(c.ok for c in suite_topweight(3, 3, None, None))
+    assert _grown_state(modfit._PRIME) == grown
 
 
 def test_warm_factorization_still_reports_the_inconsistency():
-    from soclecalc import modfit
-
     p = QuasimodularPoly(
         {
             (0, 0, 0): Fraction(1, 3),
@@ -348,12 +363,86 @@ def test_warm_factorization_still_reports_the_inconsistency():
         }
     )
     s = evaluate(p, 16)
-    modfit._factor_modular.cache_clear()
+    modfit._factors.clear()
     assert fit(s, 8) == p
+    warm = _grown_state(modfit._PRIME)
     # a pivot row perturbed: the solution of the pivot rows changes, and
     # the first surplus row it misses is the Bareiss witness
     coeffs = list(s.coeffs)
     coeffs[5] += 1
     assert fit(QSeries(tuple(coeffs)), 8) == FitInconsistency(11, 8)
-    info = modfit._factor_modular.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert _grown_state(modfit._PRIME) == warm
+
+
+@pytest.mark.parametrize("p", [(1 << 127) - 1, 101, 17], ids=["2^127-1", "101", "17"])
+def test_grown_factorization_serves_the_fresh_leading_block(p):
+    sizes = [(4, 6), (8, 10), (10, 16), (10, 17), (12, 24), (16, 44)]
+    fresh = {}
+    for size in sizes:
+        modfit._factors.clear()
+        fresh[size] = _served(*size, p)
+    interleaved = sizes[1::2] + sizes[-2::-2]
+    for sequence in (sizes, sizes[::-1], interleaved):
+        modfit._factors.clear()
+        for size in sequence:
+            assert _served(*size, p) == fresh[size], (p, size)
+    if p == 17:
+        # modulo 17 the columns of weight <= 10 need the row q^17 for a
+        # pivot, served for the order 17 and never for 16, those of weight
+        # <= 12 have pivots off the diagonal, and those of weight <= 16
+        # lose rank
+        assert fresh[(10, 16)] is None and max(fresh[(10, 17)][0]) == 16
+        assert fresh[(12, 24)][0] != sorted(fresh[(12, 24)][0])
+        assert fresh[(16, 44)] is None
+    else:
+        assert None not in fresh.values()
+
+
+def test_top_weight_fits_up_to_six_run_no_bareiss(monkeypatch):
+    from soclecalc.elliptic import top_weight_check
+
+    def forbidden(matrix, rhs):
+        raise AssertionError("Bareiss on a top-weight fit")
+
+    monkeypatch.setattr(modfit, "_solve_fraction_free", forbidden)
+    # in suite order the factorization grows; in reverse it is factored at
+    # the largest size first and every later fit is served a leading block
+    modfit._factors.clear()
+    checks = suite_topweight(6, 6, None, None)
+    assert len(checks) == 126 and all(c.ok for c in checks)
+    modfit._factors.clear()
+    for c in reversed(checks):
+        assert top_weight_check(**c.params).ok, c.check_id
+
+
+def test_factorizations_modulo_another_prime_serve_no_solve(monkeypatch):
+    from soclecalc.elliptic import top_weight_check
+
+    calls = []
+    bareiss = modfit._solve_fraction_free
+
+    def counted(matrix, rhs):
+        calls.append(len(matrix))
+        return bareiss(matrix, rhs)
+
+    monkeypatch.setattr(modfit, "_solve_fraction_free", counted)
+    q_order = len(basis(10)) + 5
+    modfit._factors.clear()
+    # as in test_fit_matches_gauss_jordan_reference: fits modulo 101 grow
+    # the factorization modulo 101, and only that one
+    with monkeypatch.context() as patch:
+        patch.setattr(modfit, "_PRIME", 101)
+        assert top_weight_check(3, 1, 2, q_order).ok
+    assert set(modfit._factors) == {101}
+    calls.clear()
+    assert top_weight_check(3, 2, 1, q_order).ok
+    assert calls == []
+    assert set(modfit._factors) == {101, modfit._PRIME}
+    # and the reverse: with the one modulo _PRIME warm, a solve modulo 101
+    # is served entries below 101, those of a fresh factorization
+    served = _served(10, q_order, 101)
+    perm, lower, upper = served
+    assert all(x < 101 for row in lower for x in row)
+    assert all(inv < 101 and max(u, default=0) < 101 for inv, u in upper)
+    modfit._factors.pop(101)
+    assert _served(10, q_order, 101) == served

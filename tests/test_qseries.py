@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from soclecalc.qseries import QSeries, divisor_sigma, eisenstein, q_d_q
+from soclecalc.qseries import QSeries, divisor_sigmas, eisenstein, q_d_q
 
 
 def _random_series(rng, order, constant_known=True):
@@ -58,13 +58,13 @@ def test_eisenstein_rejects_bad_weight():
 
 
 def test_divisor_sigma_brute_force_definition():
-    rng = random.Random(1)
-    for _ in range(20):
-        n = rng.randint(1, 60)
-        p = rng.randint(0, 4)
-        assert divisor_sigma(p, n) == sum(
-            d**p for d in range(1, n + 1) if n % d == 0
-        )
+    # the sieved table against trial division of every n
+    for order in (0, 1, 2, 12, 60):
+        for p in range(5):
+            assert divisor_sigmas(p, order) == [
+                sum(d**p for d in range(1, n + 1) if n % d == 0)
+                for n in range(1, order + 1)
+            ]
 
 
 def test_q_d_q_definition_and_examples():
