@@ -19,7 +19,7 @@ from math import comb
 
 from .exact import bernoulli, factorial
 from .modfit import FitInconsistency, evaluate, fit, graded_part
-from .qseries import QSeries, divisor_sigmas, eisenstein, q_d_q
+from .qseries import QSeries, divisor_sigmas, eisenstein
 from .report import CheckResult, failed, passed
 
 __all__ = [
@@ -164,6 +164,22 @@ def necklace_coefficient_series(
     return QSeries(tuple(coeffs), constant_known=j_minus >= 1)
 
 
+def _top_weight_target(g: int, m: int, q_order: int) -> QSeries:
+    """(2/(m-1)!) (q d/dq)^(m-1) G_2g, coefficient by coefficient: the
+    q^n coefficient is 2 n^(m-1) sigma_(2g-1)(n) / (m-1)! for n >= 1,
+    and the q^0 coefficient is 2 [q^0]G_2g when m = 1, else 0."""
+    series = eisenstein(2 * g, q_order).coeffs
+    den = factorial(m - 1)
+    constant = 2 * series[0] if m == 1 else Fraction(0)
+    return QSeries(
+        (constant,)
+        + tuple(
+            Fraction(2 * n ** (m - 1) * series[n].numerator, den)
+            for n in range(1, q_order + 1)
+        )
+    )
+
+
 def top_weight_check(
     g: int, j_plus: int, j_minus: int, q_order: int
 ) -> CheckResult:
@@ -188,10 +204,7 @@ def top_weight_check(
             "elliptic.top_weight", {"fit_inconsistency": str(result)}, **params
         )
     lhs = evaluate(graded_part(result, top_weight), q_order)
-    rhs = eisenstein(2 * g, q_order)
-    for _ in range(m - 1):
-        rhs = q_d_q(rhs)
-    rhs = rhs.scale(Fraction(2, factorial(m - 1)))
+    rhs = _top_weight_target(g, m, q_order)
     if lhs == rhs:
         return passed("elliptic.top_weight", **params)
     diff = lhs - rhs

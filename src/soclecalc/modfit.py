@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping
 
 from .qseries import QSeries, eisenstein
@@ -80,12 +80,13 @@ class QuasimodularPoly:
             items = list(terms)
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(map(index, mono))
             if len(mono) != 3 or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent triple {mono!r}")
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
             if coeff != 0:
-                acc[mono] = acc.get(mono, Fraction(0)) + coeff
+                acc[mono] = acc[mono] + coeff if mono in acc else coeff
         self._terms = tuple(
             (m, c) for m, c in sorted(acc.items(), key=lambda t: _basis_key(t[0]))
             if c != 0

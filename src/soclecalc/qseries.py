@@ -32,7 +32,9 @@ class QSeries:
     constant_known: bool = True
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(
+            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs
+        )
         if not coeffs:
             raise ValueError("QSeries needs at least the q^0 coefficient")
         if not self.constant_known:

@@ -8,11 +8,15 @@ unchanged.  Each later row was recorded at the commit before the one
 that added it: the top-weight suite at g, m <= 6, the default
 `verify all`, and the relation suite with 500 wheel-oracle samples
 (961 passing checks) and the propagator suite at its smallest size (two
-passing checks, the second finding the mismatch at q^2, w^0).  The last
+passing checks, the second finding the mismatch at q^2, w^0).  Those
 two replace CI steps that counted the checks of those runs; a digest
-pins every count, status and id they checked.  The one fixed run kept
-out of this table is `verify topweight --g-max 10 --m-max 10`, too
-slow for Tier-1, which CI pins by its exit status and sha256.
+pins every count, status and id they checked.  The last three pin the
+exact values of `dr3_closed`, `dr3_recursive` and `faber` at larger
+sizes than the rows above: the three-point table and the dr suite at
+g <= 12, and the socle table at g, n <= 10.  The fixed runs
+kept out of this table are `verify topweight --g-max 10 --m-max 10`
+and `table socle --g-max 14 --n-max 14 --format csv`, too slow for
+Tier-1, which CI pins by their exit status and sha256.
 
 The seven JSON `verify` rows were re-recorded when the JSON `config`
 stopped echoing every flag and began listing only the flags its suites
@@ -99,6 +103,21 @@ GOLDEN = [
         "verify propagator --q-order 2 --w-order 1 --format json",
         0,
         "ed7bdce4dd55deb803efaf0506b3054716ee2deb3c25272d7d3523e6f6263149",
+    ),
+    (
+        "table dr --g-max 12 --a-max 6 --format csv",
+        0,
+        "5ae16541be4bd684cbe0b59f6865b019d1eb3be9e413af7339b72ca77e77a534",
+    ),
+    (
+        "verify dr --g-max 12 --format json",
+        0,
+        "73b511e43cecbfbac1a1d172d61582116c595ccce7d426998d5acba162eed595",
+    ),
+    (
+        "table socle --g-max 10 --n-max 10 --format csv",
+        0,
+        "833c7c7f26652c927024b91a48f6bc4e40e8ad1377bf067ad958204ff98103b9",
     ),
 ]
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -70,3 +71,40 @@ def test_dr_standard_closed_value():
     for g in range(0, 13):
         assert dr_standard(g) * double_factorial_odd(2 * g + 1) * 4**g == 1
 
+
+
+# --- the Fraction-chain evaluators that dr3_closed and dr3_recursive
+# replaced by one integer numerator over a known denominator
+
+
+def _fraction_chain_closed(g, a1, a2):
+    s2 = (a1 + a2) ** 2
+    p = a1 * a1 - a1 * a2 + a2 * a2
+    total = Fraction(0)
+    for j in range(g + 1):
+        coeff = Fraction(
+            double_factorial_odd(2 * j - 1),
+            double_factorial_odd(2 * g + 1) * 2**j * factorial(j),
+        )
+        total += coeff * s2**j * p ** (g - j)
+    return total / 12**g
+
+
+def _fraction_chain_recursive(g, a1, a2):
+    s2 = (a1 + a2) ** 2
+    p = a1 * a1 - a1 * a2 + a2 * a2
+    value = Fraction(1)
+    for k in range(1, g + 1):
+        top = Fraction(s2**k, 24**k * factorial(k)) + Fraction(p, 12) * value
+        value = top / (2 * k + 1)
+    return value
+
+
+def test_integer_kernels_match_the_fraction_chains():
+    for g in range(15):
+        for a1 in range(-6, 7):
+            for a2 in range(-6, 7):
+                value = _fraction_chain_closed(g, a1, a2)
+                assert _fraction_chain_recursive(g, a1, a2) == value
+                assert dr3_closed(g, a1, a2) == value
+                assert dr3_recursive(g, a1, a2) == value

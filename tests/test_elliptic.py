@@ -260,6 +260,18 @@ def test_top_weight_with_lower_order_remainder():
     assert sorted({monomial_weight(m) for m in p.terms}) == [6, 8]
 
 
+def test_top_weight_target_matches_the_derivative_chain():
+    # the target built coefficient by coefficient equals m-1 passes of
+    # q d/dq over G_2g, scaled by 2/(m-1)!
+    for g in range(1, 7):
+        for m in range(1, 7):
+            chain = eisenstein(2 * g, 12)
+            for _ in range(m - 1):
+                chain = q_d_q(chain)
+            chain = chain.scale(Fraction(2, factorial(m - 1)))
+            assert elliptic._top_weight_target(g, m, 12) == chain
+
+
 def test_top_weight_three_edge_case():
     assert top_weight_check(1, 2, 1, 25).ok
 

@@ -147,6 +147,14 @@ def test_fit_reads_constant_off_the_series():
             assert constant == s[0] - evaluate(free, 0)[0]
 
 
+def test_non_integer_exponents_are_rejected():
+    # int() would truncate (1.5, 0, 0) to G2
+    with pytest.raises(TypeError):
+        QuasimodularPoly({(1.5, 0, 0): 1})
+    with pytest.raises(TypeError):
+        QuasimodularPoly([(("1", 0, 0), 1)])
+
+
 def test_graded_part():
     p = QuasimodularPoly({(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)})
     assert graded_part(p, 4) == p

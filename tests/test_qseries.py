@@ -96,3 +96,11 @@ def test_unknown_constant_propagation():
     # the derivation kills the constant, making the output fully known
     assert q_d_q(u).constant_known
     assert q_d_q(u).coeffs == (0, 2, 6)
+
+
+def test_coefficients_are_fractions_and_fractions_are_kept():
+    half = Fraction(1, 2)
+    s = QSeries([1, half, Fraction(3)])
+    assert s.coeffs == (1, half, 3)
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert s.coeffs[1] is half

@@ -9,6 +9,7 @@ import pytest
 import soclecalc.drcycle as drcycle
 import soclecalc.socle as socle
 from soclecalc.drcycle import dr_standard
+from soclecalc.exact import bernoulli, double_factorial_odd
 from soclecalc.socle import (
     DimensionError,
     SocleQuery,
@@ -372,3 +373,91 @@ def test_socle_value_prefers_necklace():
     assert (r.faber_value, r.necklace_value) == (Fraction(1, 36), Fraction(1, 24))
     assert r.value == Fraction(1, 24)
     assert socle_compute(SocleQuery(1, (2, 0, 0)), "faber").value == Fraction(1, 36)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SocleQuery(2, (1.9,)),
+        lambda: SocleQuery(1, ("0",)),
+        lambda: necklace_lhs(2, (2.0,)),
+        lambda: string_apply((1.0, 0)),
+        lambda: verify_string_consistency(1, (1.5,)),
+        lambda: relation_integral_check(2, (2.0,)),
+        lambda: wheel_collapse_check(2, ("2",)),
+    ],
+    ids=[
+        "query-float",
+        "query-str",
+        "necklace_lhs",
+        "string_apply",
+        "string_consistency",
+        "relation",
+        "wheel_collapse",
+    ],
+)
+def test_non_integer_exponents_are_rejected(call):
+    # int() would truncate 1.9 to 1 (a valid g = 2 query, 1/2880) and
+    # parse "0"; an exponent must be an integer
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_wheel_checks_run_once_per_cycle_and_per_split(monkeypatch):
+    calls = Counter()
+    for name in ("_check_cycle", "_check_genera"):
+        check = getattr(socle, name)
+
+        def counted(*args, name=name, check=check):
+            calls[name] += 1
+            return check(*args)
+
+        monkeypatch.setattr(socle, name, counted)
+    wheels = list(iter_wheels(4, 2))
+    assert len(wheels) == 6 * 10
+    assert calls == {"_check_cycle": 6, "_check_genera": 10}
+    assert wheels == [Wheel(w.cycle, w.genera) for w in wheels]
+
+    # a bad split is still refused, before the first wheel is yielded
+    monkeypatch.setattr(socle, "compositions", lambda total, parts: iter([(2, -1)]))
+    with pytest.raises(ValueError):
+        next(iter_wheels(2, 1))
+
+
+# --- the Fraction chains that faber and _necklace_normalization replaced
+# by one integer numerator over one denominator
+
+
+def _fraction_chain_faber(q):
+    g, n = q.g, q.n
+    value = (
+        Fraction((-1) ** (g - 1))
+        * bernoulli(2 * g)
+        * factorial(2 * g - 3 + n)
+        / (2 ** (2 * g - 1) * factorial(2 * g))
+    )
+    for di in q.d:
+        value /= double_factorial_odd(2 * di - 1)
+    return value
+
+
+def _fraction_chain_normalization(g, m):
+    return (
+        Fraction((-1) ** (g - 1))
+        * bernoulli(2 * g)
+        * factorial(2 * g - 2 + m)
+        / (2 * factorial(2 * g))
+    )
+
+
+def test_integer_kernels_match_the_fraction_chains():
+    # one query per exponent multiset: both sides are symmetric in d
+    queries = list(iter_socle_queries(8, 8))
+    assert len(queries) == 1273
+    for q in queries:
+        assert faber(q) == _fraction_chain_faber(q)
+    for g in range(1, 9):
+        for m in range(1, 9):
+            assert socle._necklace_normalization(g, m) == (
+                _fraction_chain_normalization(g, m)
+            )
