@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import index
 
 from .exact import bernoulli, factorial
 from .modfit import FitInconsistency, evaluate, fit, graded_part
@@ -146,6 +147,7 @@ def necklace_coefficient_series(
     stratum: that q^0 coefficient is marked unknown and every q^n
     coefficient with n >= 1 stays exact.
     """
+    g, j_plus, j_minus, q_order = map(index, (g, j_plus, j_minus, q_order))
     if g < 1 or j_plus < 1 or j_minus < 0:
         raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
     m = j_plus + j_minus

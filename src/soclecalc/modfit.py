@@ -9,15 +9,15 @@ Both directions work on integer columns, one store for all of them.
 Each G_k beyond q^0 is a divisor sum, so den_k * G_k is an integer
 series (den_k = 24, 240, 504) and is the generator's column; every
 monomial G2^a G4^b G6^c is kept as the integer series of
-24^a 240^b 504^c times it, grown to the largest order asked for.  The
-recognition matrix depends on (max_weight, order) alone, and each is a
-leading block of the larger ones, so one LU factorization modulo the
-prime 2^127 - 1, grown in place to the largest matrix asked for, serves
-them all; each fit substitutes through its leading block and rebuilds a
-rational candidate by rational reconstruction.  One exact scan of every
-row decides consistency: Bareiss fraction-free elimination solves only
-the systems whose candidate is missing or fails it, and its first
-unmatched row is the witness of every inconsistent one.
+24^a 240^b 504^c times it, grown to the largest order asked for.  Each
+recognition matrix's leading square block is a leading block of the
+larger ones, so one unpivoted LU factorization modulo the prime
+2^127 - 1, grown to the largest block asked for, serves every fit,
+which substitutes through its block and rebuilds a rational candidate
+by rational reconstruction.  One exact scan of every row decides
+consistency: Bareiss fraction-free elimination solves only the systems
+whose candidate is missing or fails it, and its first unmatched row is
+the witness of every inconsistent one.
 """
 
 from __future__ import annotations
@@ -203,12 +203,12 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     of the non-constant monomials of weight <= max_weight, scaled to an
     integer system.  The constant monomial 1 is zero beyond q^0, so it
     can only absorb the q^0 row; the matrix therefore depends on
-    (max_weight, order) alone, and the leading block of one grown LU
-    factorization modulo _PRIME serves every fit (_factor_modular).  The
-    modular solve only proposes a candidate.  One exact integer scan of
-    every row decides consistency: it accepts the modular candidate, or,
-    when there is none or it misses a row, accepts the Bareiss solution
-    or names the first row that solution misses.  The system must be
+    (max_weight, order) alone, and _factor_modular serves its leading
+    square block.  The modular solve only proposes a candidate.  One
+    exact integer scan of every row decides consistency: it accepts the
+    modular candidate, or, when there is none or it misses a row,
+    accepts the Bareiss solution or names the first row that solution
+    misses.  The system must be
     overdetermined by at least _MARGIN surplus rows (a fit that merely
     interpolates proves nothing); too small an order is an error.
 
@@ -263,85 +263,67 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     return QuasimodularPoly(terms)
 
 
-# prime p -> (perm, lower, upper), P A = L U modulo p for the largest
-# recognition matrix A asked for so far, grown in place: the rows
-# q^1 .. q^len(perm) and the first len(upper) non-constant monomials.
-# Row i of P A is q^(perm[i] + 1); lower[i] is L[i][:i] for a pivot row
-# i < len(upper), and a start of L[i] below; upper[j] is the inverse of
-# U[j][j] and U[:j][j].  One modulus never serves a solve modulo another.
-_factors: dict[int, tuple[list, list, list]] = {}
+# prime p -> (lower, upper), A = L U modulo p without pivoting, A the
+# leading square block of the largest recognition matrix asked for so
+# far: the rows q^1 .. q^C and the first C = len(upper) non-constant
+# monomials.  lower[i] is L[i][:i]; upper[j] is the inverse of U[j][j]
+# and U[:j][j].  One modulus never serves a solve modulo another.
+_factors: dict[int, tuple[list, list]] = {}
 
 
-def _factor_modular(cols, order: int, p: int):
-    """(perm, lower, upper) of P A = L U modulo the prime p, A the
-    recognition matrix of the columns cols and the rows q^1 .. q^order,
-    cut from _factors[p] to the pivot rows i, j < len(cols); None when
-    the columns lose rank mod p.
+def _factor_modular(cols, p: int):
+    """(lower, upper) of A = L U modulo the prime p, A the leading square
+    block of the recognition matrix of the columns cols (the rows
+    q^1 .. q^len(cols)), cut from _factors[p]; None when a pivot
+    vanishes mod p.
 
-    cols are those of the first len(cols) non-constant monomials, each
-    up to at least q^order; basis(W) is a prefix of basis(W') for
-    W <= W', so every smaller system is a leading block of the grown one.
-    Left-looking, with the pivot rule of _solve_fraction_free (the first
-    nonzero Schur entry at or below row j) scanning the rows below
-    q^order: a new column j costs one integer dot product per pivot row
-    and per row scanned, each reduced once mod p (delayed reduction, as
-    in FFLAS-FFPACK), and a row's L entries are computed against the U
-    columns when a scan first reaches it.  A scan over more rows meets
-    the same first nonzero entry, so the leading block equals a fresh
-    factorization of that size whenever every pivot row in
-    perm[:len(cols)] is below q^order; otherwise the fresh one loses
-    rank, and the answer is None.
+    cols are those of the first len(cols) non-constant monomials, and
+    basis(W) is a prefix of basis(W') for W <= W'.  Without pivoting the
+    L and U of a leading block are the leading parts of the grown ones,
+    so the store grows by one row and one column at a time (Doolittle):
+    a new column j costs one integer dot product per entry of U[:j][j]
+    and of L[j][:j], each reduced once mod p (delayed reduction, as in
+    FFLAS-FFPACK).  No pivot vanishes mod _PRIME through the 313 columns
+    of the top-weight fits at g, m <= 10.
     """
-    perm, lower, upper = _factors.setdefault(p, ([], [], []))
-    ncols = len(cols)
-    if max(perm[: min(ncols, len(upper))], default=-1) >= order:
-        return None
-    # every pivot row so far is below q^order, so every swap so far stayed
-    # within the first order positions, and they hold the rows below it
-    perm.extend(range(len(perm), order))
-    lower.extend([] for _ in range(len(lower), order))
-    for j in range(len(upper), ncols):
+    lower, upper = _factors.setdefault(p, ([], []))
+    for j in range(len(upper), len(cols)):
         col = cols[j]
         v = []  # U[:j][j]
-        for row, r in zip(lower, perm[:j]):
-            v.append((col[r + 1] - sum(map(mul, row, v))) % p)
-        for k in range(j, order):
-            row, r = lower[k], perm[k] + 1
-            for i in range(len(row), j):
-                inv, u = upper[i]
-                row.append((cols[i][r] - sum(map(mul, row, u))) * inv % p)
-            x = (col[r] - sum(map(mul, row, v))) % p
-            if x:
-                break
-        else:
+        for i, row in enumerate(lower):
+            v.append((col[i + 1] - sum(map(mul, row, v))) % p)
+        row = []  # L[j][:j]
+        for c, (inv, u) in zip(cols, upper):
+            row.append((c[j + 1] - sum(map(mul, row, u))) * inv % p)
+        x = (col[j + 1] - sum(map(mul, row, v))) % p
+        if not x:
             return None
-        perm[j], perm[k] = perm[k], perm[j]
-        lower[j], lower[k] = lower[k], lower[j]
+        lower.append(row)
         upper.append((pow(x, -1, p), v))
-    return perm[:ncols], lower[:ncols], upper[:ncols]
+    return lower[: len(cols)], upper[: len(cols)]
 
 
 def _solve_modular(cols, rhs):
     """A candidate (w, det) for A z = b, A the recognition matrix of the
-    columns cols and the rows q^1 .. q^len(rhs), from _factor_modular
-    modulo _PRIME; fit's exact scan of every row decides whether it
-    counts.
+    columns cols and the rows q^1 .. q^len(rhs); fit's exact scan of
+    every row decides whether it counts.
 
-    Substitutes the pivot rows forward through L and back through U and
-    rebuilds z = w / det with a running common denominator det (Wang's
-    rational reconstruction, numerator and denominator both at most
-    isqrt(_PRIME // 2)).  A then has full column rank over Q, so a
-    candidate that matches every row is the unique solution.  None when
-    A loses rank mod _PRIME or reconstruction fails.
+    Substitutes rhs[:len(cols)] forward through L and back through U of
+    the leading square block (_factor_modular modulo _PRIME) and rebuilds
+    z = w / det with a running common denominator det (Wang's rational
+    reconstruction, numerator and denominator both at most
+    isqrt(_PRIME // 2)).  That block is then invertible, so a candidate
+    that matches every row is the unique solution.  None when a pivot
+    vanishes mod _PRIME or reconstruction fails.
     """
     p = _PRIME
-    lu = _factor_modular(cols, len(rhs), p)
+    lu = _factor_modular(cols, p)
     if lu is None:
         return None
-    perm, lower, upper = lu
+    lower, upper = lu
     y = []
-    for row, r in zip(lower, perm):
-        y.append((rhs[r] - sum(map(mul, row, y))) % p)
+    for row, b in zip(lower, rhs):
+        y.append((b - sum(map(mul, row, y))) % p)
     z = [0] * len(upper)
     for inv, u in reversed(upper):
         x = z[len(u)] = y.pop() * inv % p

@@ -89,6 +89,7 @@ class SocleQuery:
     d: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "g", index(self.g))
         object.__setattr__(self, "d", tuple(map(index, self.d)))
         if self.g < 1:
             raise ValueError(f"genus must be >= 1, got {self.g}")

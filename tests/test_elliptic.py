@@ -227,6 +227,11 @@ def test_necklace_series_rejects_bad_input():
         necklace_coefficient_series(0, 1, 1, 5)
     with pytest.raises(ValueError):
         necklace_coefficient_series(1, 0, 2, 5)
+    # a float genus would give float-rounded coefficients from q^10 on
+    with pytest.raises(TypeError):
+        necklace_coefficient_series(12.0, 3, 2, 40)
+    with pytest.raises(TypeError):
+        necklace_coefficient_series(1, 1, 1, 5.0)
 
 
 # --- top weight extraction

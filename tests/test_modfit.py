@@ -334,14 +334,15 @@ def test_bareiss_runs_only_when_the_modular_solve_cannot_certify(monkeypatch):
 
 def _grown_state(p):
     # every number the grown factorization modulo p holds, copied
-    perm, lower, upper = modfit._factors[p]
-    return list(perm), [list(row) for row in lower], [(i, list(u)) for i, u in upper]
+    lower, upper = modfit._factors[p]
+    return [list(row) for row in lower], [(i, list(u)) for i, u in upper]
 
 
-def _served(max_weight, order, p):
-    monos = [m for m in basis(max_weight) if any(m)]
-    cols = [modfit._column(m, order)[1] for m in monos]
-    return modfit._factor_modular(cols, order, p)
+def _served(ncols, p):
+    # the factorization served for the first ncols non-constant monomials
+    monos = [m for m in basis(40) if any(m)][:ncols]
+    cols = [modfit._column(m, ncols)[1] for m in monos]
+    return modfit._factor_modular(cols, p)
 
 
 def test_top_weight_splits_of_one_size_factor_once():
@@ -354,7 +355,7 @@ def test_top_weight_splits_of_one_size_factor_once():
     modfit._factors.clear()
     assert top_weight_check(3, 1, 2, q_order).ok
     grown = _grown_state(modfit._PRIME)
-    assert len(grown[2]) == len(basis(10)) - 1
+    assert len(grown[1]) == len(basis(10)) - 1
     assert top_weight_check(3, 3, 0, q_order).ok
     assert _grown_state(modfit._PRIME) == grown
     assert all(c.ok for c in suite_topweight(3, 3, None, None))
@@ -383,27 +384,42 @@ def test_warm_factorization_still_reports_the_inconsistency():
 
 
 @pytest.mark.parametrize("p", [(1 << 127) - 1, 101, 17], ids=["2^127-1", "101", "17"])
-def test_grown_factorization_serves_the_fresh_leading_block(p):
-    sizes = [(4, 6), (8, 10), (10, 16), (10, 17), (12, 24), (16, 44)]
+def test_grown_factorization_serves_the_fresh_leading_block(p, monkeypatch):
+    # column counts of the weights 4, 8, 10, 12 and 16 and two in between
+    sizes = [3, 10, 13, 14, 15, 22, 40]
     fresh = {}
     for size in sizes:
         modfit._factors.clear()
-        fresh[size] = _served(*size, p)
+        fresh[size] = _served(size, p)
     interleaved = sizes[1::2] + sizes[-2::-2]
     for sequence in (sizes, sizes[::-1], interleaved):
         modfit._factors.clear()
         for size in sequence:
-            assert _served(*size, p) == fresh[size], (p, size)
-    if p == 17:
-        # modulo 17 the columns of weight <= 10 need the row q^17 for a
-        # pivot, served for the order 17 and never for 16, those of weight
-        # <= 12 have pivots off the diagonal, and those of weight <= 16
-        # lose rank
-        assert fresh[(10, 16)] is None and max(fresh[(10, 17)][0]) == 16
-        assert fresh[(12, 24)][0] != sorted(fresh[(12, 24)][0])
-        assert fresh[(16, 44)] is None
-    else:
+            assert _served(size, p) == fresh[size], (p, size)
+    if p != 17:
         assert None not in fresh.values()
+        return
+    # modulo 17 the 14th pivot vanishes: 13 columns are served, 14 or
+    # more are not, and the store keeps the 13
+    assert fresh[13] is not None
+    assert all(fresh[size] is None for size in sizes if size >= 14)
+    assert len(modfit._factors[17][1]) == 13
+    # fit still matches the reference, through Bareiss
+    calls = []
+    bareiss = modfit._solve_fraction_free
+
+    def counted(matrix, rhs):
+        calls.append(len(matrix))
+        return bareiss(matrix, rhs)
+
+    monkeypatch.setattr(modfit, "_solve_fraction_free", counted)
+    monkeypatch.setattr(modfit, "_PRIME", 17)
+    order = len(basis(10)) + 5
+    columns = {m: _ref_monomial_series(m, order) for m in basis(10)}
+    p10 = QuasimodularPoly({(5, 0, 0): Fraction(1, 3), (2, 0, 1): -2, (0, 1, 0): 7})
+    s = evaluate(p10, order)
+    assert fit(s, 10) == _ref_fit(s, 10, False, columns) == p10
+    assert calls == [order]
 
 
 def test_top_weight_fits_up_to_six_run_no_bareiss(monkeypatch):
@@ -448,9 +464,9 @@ def test_factorizations_modulo_another_prime_serve_no_solve(monkeypatch):
     assert set(modfit._factors) == {101, modfit._PRIME}
     # and the reverse: with the one modulo _PRIME warm, a solve modulo 101
     # is served entries below 101, those of a fresh factorization
-    served = _served(10, q_order, 101)
-    perm, lower, upper = served
+    served = _served(len(basis(10)) - 1, 101)
+    lower, upper = served
     assert all(x < 101 for row in lower for x in row)
     assert all(inv < 101 and max(u, default=0) < 101 for inv, u in upper)
     modfit._factors.pop(101)
-    assert _served(10, q_order, 101) == served
+    assert _served(len(basis(10)) - 1, 101) == served

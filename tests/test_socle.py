@@ -380,6 +380,8 @@ def test_socle_value_prefers_necklace():
     [
         lambda: SocleQuery(2, (1.9,)),
         lambda: SocleQuery(1, ("0",)),
+        lambda: SocleQuery(2.0, (1,)),
+        lambda: SocleQuery(Fraction(2), (1,)),
         lambda: necklace_lhs(2, (2.0,)),
         lambda: string_apply((1.0, 0)),
         lambda: verify_string_consistency(1, (1.5,)),
@@ -389,6 +391,8 @@ def test_socle_value_prefers_necklace():
     ids=[
         "query-float",
         "query-str",
+        "genus-float",
+        "genus-fraction",
         "necklace_lhs",
         "string_apply",
         "string_consistency",
@@ -398,7 +402,7 @@ def test_socle_value_prefers_necklace():
 )
 def test_non_integer_exponents_are_rejected(call):
     # int() would truncate 1.9 to 1 (a valid g = 2 query, 1/2880) and
-    # parse "0"; an exponent must be an integer
+    # parse "0"; an exponent or a genus must be an integer
     with pytest.raises(TypeError):
         call()
 
