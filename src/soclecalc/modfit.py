@@ -175,6 +175,8 @@ def evaluate(p: QuasimodularPoly, order: int) -> QSeries:
     """Substitute the Eisenstein q-expansions and expand exactly: the sum
     of coeff/scale times the integer column of each monomial, over one
     common denominator."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     terms = []
     for mono, coeff in p._terms:
         scale, col = _column(mono, order)
@@ -263,30 +265,30 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     return QuasimodularPoly(terms)
 
 
-# prime p -> (lower, upper), A = L U modulo p without pivoting, A the
-# leading square block of the largest recognition matrix asked for so
-# far: the rows q^1 .. q^C and the first C = len(upper) non-constant
-# monomials.  lower[i] is L[i][:i]; upper[j] is the inverse of U[j][j]
-# and U[:j][j].  One modulus never serves a solve modulo another.
-_factors: dict[int, tuple[list, list]] = {}
+# (lower, upper), A = L U modulo _PRIME without pivoting, A the leading
+# square block of the largest recognition matrix asked for so far: the
+# rows q^1 .. q^C and the first C = len(upper) non-constant monomials.
+# lower[i] is L[i][:i]; upper[j] is the inverse of U[j][j] and U[:j][j].
+_factors: tuple[list, list] = ([], [])
 
 
-def _factor_modular(cols, p: int):
-    """(lower, upper) of A = L U modulo the prime p, A the leading square
+def _factor_modular(cols):
+    """(lower, upper) of A = L U modulo _PRIME, A the leading square
     block of the recognition matrix of the columns cols (the rows
-    q^1 .. q^len(cols)), cut from _factors[p]; None when a pivot
-    vanishes mod p.
+    q^1 .. q^len(cols)), cut from _factors; None when a pivot vanishes
+    mod _PRIME.
 
     cols are those of the first len(cols) non-constant monomials, and
     basis(W) is a prefix of basis(W') for W <= W'.  Without pivoting the
     L and U of a leading block are the leading parts of the grown ones,
     so the store grows by one row and one column at a time (Doolittle):
     a new column j costs one integer dot product per entry of U[:j][j]
-    and of L[j][:j], each reduced once mod p (delayed reduction, as in
-    FFLAS-FFPACK).  No pivot vanishes mod _PRIME through the 313 columns
-    of the top-weight fits at g, m <= 10.
+    and of L[j][:j], each reduced once mod _PRIME (delayed reduction, as
+    in FFLAS-FFPACK).  No pivot vanishes through the 313 columns of the
+    top-weight fits at g, m <= 10.
     """
-    lower, upper = _factors.setdefault(p, ([], []))
+    p = _PRIME
+    lower, upper = _factors
     for j in range(len(upper), len(cols)):
         col = cols[j]
         v = []  # U[:j][j]
@@ -317,7 +319,7 @@ def _solve_modular(cols, rhs):
     vanishes mod _PRIME or reconstruction fails.
     """
     p = _PRIME
-    lu = _factor_modular(cols, p)
+    lu = _factor_modular(cols)
     if lu is None:
         return None
     lower, upper = lu

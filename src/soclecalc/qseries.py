@@ -123,8 +123,8 @@ def eisenstein(k: int, order: int) -> QSeries:
     Weierstrass function; elliptic.check_divisor_power_k_fails shows
     that the power k breaks the propagator identity.
     """
-    if k < 2 or k % 2:
-        raise ValueError(f"eisenstein weight must be even and >= 2, got {k}")
+    if k < 2 or k % 2 or order < 0:
+        raise ValueError(f"need an even weight k >= 2 and order >= 0, got {k}, {order}")
     coeffs = [-bernoulli(k) / (2 * k)]
     coeffs.extend(map(Fraction, divisor_sigmas(k - 1, order)))
     return QSeries(tuple(coeffs))

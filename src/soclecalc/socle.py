@@ -143,6 +143,8 @@ def _prechecked_wheel(cycle: tuple[int, ...], genera: tuple[int, ...]) -> Wheel:
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Stream the ordered tuples of parts integers >= 0 summing to total."""
+    if parts < 1 or total < 0:
+        raise ValueError("need parts >= 1 and total >= 0")
     if parts == 1:
         yield (total,)
         return

@@ -111,6 +111,9 @@ def test_fit_stable_under_higher_order():
 def test_fit_underdetermined_is_an_error():
     with pytest.raises(ValueError):
         fit(eisenstein(2, 8), 8)  # 11 monomials, 9 rows: no surplus
+    # a negative order is an error, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        evaluate(QuasimodularPoly({(1, 0, 0): 1}), -1)
 
 
 def test_fit_free_constant_mode():
@@ -242,6 +245,7 @@ def test_fit_matches_gauss_jordan_reference(monkeypatch):
 
     rng = random.Random(20261018)
     columns = {}  # order -> monomial -> reference column
+    store101 = ([], [])  # one factorization modulo 101 for every trial
     seen = {"consistent": 0, "inconsistent": 0, "free": 0, "fixed": 0}
     weights = set()
     for trial in range(200):
@@ -271,6 +275,7 @@ def test_fit_matches_gauss_jordan_reference(monkeypatch):
         # candidate; certification must reject it
         with monkeypatch.context() as patch:
             patch.setattr(modfit, "_PRIME", 101)
+            patch.setattr(modfit, "_factors", store101)
             assert fit(s, weight) == ref, (trial, weight, free)
         seen["inconsistent" if isinstance(got, FitInconsistency) else "consistent"] += 1
         seen["free" if free else "fixed"] += 1
@@ -289,7 +294,7 @@ def test_fit_and_top_weight_run_no_series_products(monkeypatch):
     monkeypatch.setattr(QSeries, "__mul__", forbidden)
     monkeypatch.setattr(QSeries, "__rmul__", forbidden)
     modfit._columns.clear()
-    modfit._factors.clear()
+    modfit._factors = ([], [])
     assert fit(q_d_q(eisenstein(2, 14)), 4) == QuasimodularPoly(
         {(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)}
     )
@@ -332,17 +337,17 @@ def test_bareiss_runs_only_when_the_modular_solve_cannot_certify(monkeypatch):
     assert calls == []
 
 
-def _grown_state(p):
-    # every number the grown factorization modulo p holds, copied
-    lower, upper = modfit._factors[p]
+def _grown_state():
+    # every number the grown factorization holds, copied
+    lower, upper = modfit._factors
     return [list(row) for row in lower], [(i, list(u)) for i, u in upper]
 
 
-def _served(ncols, p):
+def _served(ncols):
     # the factorization served for the first ncols non-constant monomials
     monos = [m for m in basis(40) if any(m)][:ncols]
     cols = [modfit._column(m, ncols)[1] for m in monos]
-    return modfit._factor_modular(cols, p)
+    return modfit._factor_modular(cols)
 
 
 def test_top_weight_splits_of_one_size_factor_once():
@@ -352,14 +357,14 @@ def test_top_weight_splits_of_one_size_factor_once():
     # two splits j+ + j- = m of one (g, m) share both; every smaller
     # top-weight system is a leading block of theirs
     q_order = len(basis(2 * 3 - 2 + 2 * 3)) + 5
-    modfit._factors.clear()
+    modfit._factors = ([], [])
     assert top_weight_check(3, 1, 2, q_order).ok
-    grown = _grown_state(modfit._PRIME)
+    grown = _grown_state()
     assert len(grown[1]) == len(basis(10)) - 1
     assert top_weight_check(3, 3, 0, q_order).ok
-    assert _grown_state(modfit._PRIME) == grown
+    assert _grown_state() == grown
     assert all(c.ok for c in suite_topweight(3, 3, None, None))
-    assert _grown_state(modfit._PRIME) == grown
+    assert _grown_state() == grown
 
 
 def test_warm_factorization_still_reports_the_inconsistency():
@@ -372,30 +377,31 @@ def test_warm_factorization_still_reports_the_inconsistency():
         }
     )
     s = evaluate(p, 16)
-    modfit._factors.clear()
+    modfit._factors = ([], [])
     assert fit(s, 8) == p
-    warm = _grown_state(modfit._PRIME)
+    warm = _grown_state()
     # a pivot row perturbed: the solution of the pivot rows changes, and
     # the first surplus row it misses is the Bareiss witness
     coeffs = list(s.coeffs)
     coeffs[5] += 1
     assert fit(QSeries(tuple(coeffs)), 8) == FitInconsistency(11, 8)
-    assert _grown_state(modfit._PRIME) == warm
+    assert _grown_state() == warm
 
 
 @pytest.mark.parametrize("p", [(1 << 127) - 1, 101, 17], ids=["2^127-1", "101", "17"])
 def test_grown_factorization_serves_the_fresh_leading_block(p, monkeypatch):
     # column counts of the weights 4, 8, 10, 12 and 16 and two in between
     sizes = [3, 10, 13, 14, 15, 22, 40]
+    monkeypatch.setattr(modfit, "_PRIME", p)
     fresh = {}
     for size in sizes:
-        modfit._factors.clear()
-        fresh[size] = _served(size, p)
+        monkeypatch.setattr(modfit, "_factors", ([], []))
+        fresh[size] = _served(size)
     interleaved = sizes[1::2] + sizes[-2::-2]
     for sequence in (sizes, sizes[::-1], interleaved):
-        modfit._factors.clear()
+        monkeypatch.setattr(modfit, "_factors", ([], []))
         for size in sequence:
-            assert _served(size, p) == fresh[size], (p, size)
+            assert _served(size) == fresh[size], (p, size)
     if p != 17:
         assert None not in fresh.values()
         return
@@ -403,7 +409,7 @@ def test_grown_factorization_serves_the_fresh_leading_block(p, monkeypatch):
     # more are not, and the store keeps the 13
     assert fresh[13] is not None
     assert all(fresh[size] is None for size in sizes if size >= 14)
-    assert len(modfit._factors[17][1]) == 13
+    assert len(modfit._factors[1]) == 13
     # fit still matches the reference, through Bareiss
     calls = []
     bareiss = modfit._solve_fraction_free
@@ -413,7 +419,6 @@ def test_grown_factorization_serves_the_fresh_leading_block(p, monkeypatch):
         return bareiss(matrix, rhs)
 
     monkeypatch.setattr(modfit, "_solve_fraction_free", counted)
-    monkeypatch.setattr(modfit, "_PRIME", 17)
     order = len(basis(10)) + 5
     columns = {m: _ref_monomial_series(m, order) for m in basis(10)}
     p10 = QuasimodularPoly({(5, 0, 0): Fraction(1, 3), (2, 0, 1): -2, (0, 1, 0): 7})
@@ -431,42 +436,10 @@ def test_top_weight_fits_up_to_six_run_no_bareiss(monkeypatch):
     monkeypatch.setattr(modfit, "_solve_fraction_free", forbidden)
     # in suite order the factorization grows; in reverse it is factored at
     # the largest size first and every later fit is served a leading block
-    modfit._factors.clear()
+    modfit._factors = ([], [])
     checks = suite_topweight(6, 6, None, None)
     assert len(checks) == 126 and all(c.ok for c in checks)
-    modfit._factors.clear()
+    modfit._factors = ([], [])
     for c in reversed(checks):
         assert top_weight_check(**c.params).ok, c.check_id
 
-
-def test_factorizations_modulo_another_prime_serve_no_solve(monkeypatch):
-    from soclecalc.elliptic import top_weight_check
-
-    calls = []
-    bareiss = modfit._solve_fraction_free
-
-    def counted(matrix, rhs):
-        calls.append(len(matrix))
-        return bareiss(matrix, rhs)
-
-    monkeypatch.setattr(modfit, "_solve_fraction_free", counted)
-    q_order = len(basis(10)) + 5
-    modfit._factors.clear()
-    # as in test_fit_matches_gauss_jordan_reference: fits modulo 101 grow
-    # the factorization modulo 101, and only that one
-    with monkeypatch.context() as patch:
-        patch.setattr(modfit, "_PRIME", 101)
-        assert top_weight_check(3, 1, 2, q_order).ok
-    assert set(modfit._factors) == {101}
-    calls.clear()
-    assert top_weight_check(3, 2, 1, q_order).ok
-    assert calls == []
-    assert set(modfit._factors) == {101, modfit._PRIME}
-    # and the reverse: with the one modulo _PRIME warm, a solve modulo 101
-    # is served entries below 101, those of a fresh factorization
-    served = _served(len(basis(10)) - 1, 101)
-    lower, upper = served
-    assert all(x < 101 for row in lower for x in row)
-    assert all(inv < 101 and max(u, default=0) < 101 for inv, u in upper)
-    modfit._factors.pop(101)
-    assert _served(len(basis(10)) - 1, 101) == served

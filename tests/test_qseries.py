@@ -55,6 +55,9 @@ def test_eisenstein_rejects_bad_weight():
     for k in (0, 1, 3, -2):
         with pytest.raises(ValueError):
             eisenstein(k, 5)
+    # a negative truncation order is an error, not an order-0 series
+    with pytest.raises(ValueError, match="order >= 0"):
+        eisenstein(4, -3)
 
 
 def test_divisor_sigma_brute_force_definition():

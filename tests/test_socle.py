@@ -14,6 +14,7 @@ from soclecalc.socle import (
     DimensionError,
     SocleQuery,
     Wheel,
+    compositions,
     faber,
     iter_socle_queries,
     iter_wheels,
@@ -69,6 +70,19 @@ def test_wheels_enumerate_counts():
     assert {w.genera for w in w21} == {(0, 1), (1, 0)}
     # (m-1)! orientations times compositions of the genus budget
     assert len(list(iter_wheels(4, 2))) == 6 * 10
+
+
+def test_compositions():
+    for total in range(6):
+        for parts in range(1, 5):
+            got = list(compositions(total, parts))
+            every = [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+            assert got == every, (total, parts)
+    # no parts, or a negative total, has no composition and is an error,
+    # not an endless recursion or a negative part
+    for total, parts in ((0, 0), (3, 0), (2, -1), (-1, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="need parts >= 1 and total >= 0"):
+            list(compositions(total, parts))
 
 
 @pytest.mark.parametrize("m,t", [(1, 2), (3, 0), (3, 2), (4, 3)])
