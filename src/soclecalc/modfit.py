@@ -9,7 +9,10 @@ Both directions work on integer columns, one store for all of them.
 Each G_k beyond q^0 is a divisor sum, so den_k * G_k is an integer
 series (den_k = 24, 240, 504) and is the generator's column; every
 monomial G2^a G4^b G6^c is kept as the integer series of
-24^a 240^b 504^c times it, grown to the largest order asked for.  Each
+24^a 240^b 504^c times it, grown to the largest order asked for.  Only
+the modular monomials G4^b G6^c are series products; every monomial
+with G2 comes in O(order) from Ramanujan's equations, which close the
+ring under q d/dq (Kaneko-Zagier), and columns of its own weight.  Each
 recognition matrix's leading square block is a leading block of the
 larger ones, so one unpivoted LU factorization modulo the prime
 2^127 - 1, grown to the largest block asked for, serves every fit,
@@ -137,38 +140,76 @@ _columns: dict[Monomial, tuple[int, tuple[int, ...]]] = {}
 
 def _column(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     """(scale, scale * G2^a G4^b G6^c up to at least q^order as integers)
-    with scale = 24^a 240^b 504^c, kept in _columns.  A generator G_k's
-    column is den_k * eisenstein(k, order), den_k the denominator of the
-    constant term -B_k/(2k); every coefficient beyond q^0 is a divisor
-    sum, so it is integral, and that is checked here, not assumed.  Any
-    other monomial's is the column of the monomial with its last nonzero
-    exponent lowered times that generator's, each new entry the dot
-    product of the lower column with the reversed generator column."""
+    with scale = 24^a 240^b 504^c, kept in _columns and grown from its
+    stored length.
+
+    A generator G_k's column is den_k * eisenstein(k, order), den_k the
+    denominator of the constant term -B_k/(2k); every coefficient beyond
+    q^0 is a divisor sum, so it is integral, and that is checked here,
+    not assumed.  A modular monomial G4^b G6^c is the column with its
+    last nonzero exponent lowered times that generator's (_product).
+
+    Every other monomial has a >= 1 and comes from Ramanujan's equations
+    in O(order).  With D = q d/dq and col(a, b, c) its column,
+      24 D col(a-1, b, c) = 2(a-1) col(a-2, b+1, c) + 8b col(a-1, b-1, c+1)
+                            + 12c col(a-1, b+2, c-1) - k col(a, b, c),
+    k = 2(a-1) + 8b + 12c, since DG2 = -2 G2^2 + (5/6) G4,
+    DG4 = -8 G2 G4 + (7/10) G6 and DG6 = -12 G2 G6 + (400/7) G4^2.  Its
+    other three columns have the same weight and a lower G2 degree; each
+    entry's division by k is checked, not assumed."""
     if not any(mono):
         return 1, (1,) + (0,) * order
     scale, col = _columns.get(mono, (0, ()))
-    if len(col) <= order:
-        j = max(i for i, e in enumerate(mono) if e)
-        unit = tuple(int(i == j) for i in range(3))
-        if mono == unit:
-            k = 2 * j + 2
-            series = eisenstein(k, order)
-            scale = series.coeffs[0].denominator
-            scaled = [c * scale for c in series.coeffs]
-            if any(c.denominator != 1 for c in scaled):
-                raise ArithmeticError(f"{scale} * G_{k} is not an integer series")
-            col = tuple(c.numerator for c in scaled)
-        else:
-            scale, lower = _column(tuple(e - u for e, u in zip(mono, unit)), order)
-            den, gen = _column(unit, order)
-            rev = gen[order::-1]
-            col += tuple(
-                sum(map(mul, lower, rev[order - n :]))
-                for n in range(len(col), order + 1)
+    if len(col) > order:
+        return scale, col
+    a, b, c = mono
+    if mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        k = 2 * a + 4 * b + 6 * c
+        series = eisenstein(k, order)
+        scale = series.coeffs[0].denominator
+        scaled = [x * scale for x in series.coeffs]
+        if any(x.denominator != 1 for x in scaled):
+            raise ArithmeticError(f"{scale} * G_{k} is not an integer series")
+        col = tuple(x.numerator for x in scaled)
+    elif not a:
+        unit = (0, 0, 1) if c else (0, 1, 0)
+        scale, lower = _column((0, b - unit[1], c - unit[2]), order)
+        den, gen = _column(unit, order)
+        col += _product(lower, gen, len(col), order)
+        scale *= den
+    else:
+        k = 2 * (a - 1) + 8 * b + 12 * c
+        scale, lower = _column((a - 1, b, c), order)
+        scale *= 24
+        reads = [
+            (f, _column(m, order)[1])
+            for f, m in (
+                (2 * (a - 1), (a - 2, b + 1, c)),
+                (8 * b, (a - 1, b - 1, c + 1)),
+                (12 * c, (a - 1, b + 2, c - 1)),
             )
-            scale *= den
-        _columns[mono] = scale, col
+            if f
+        ]
+        new = []
+        for n in range(len(col), order + 1):
+            x, r = divmod(
+                sum(f * other[n] for f, other in reads) - 24 * n * lower[n], k
+            )
+            if r:
+                raise ArithmeticError(f"column {mono} is not integral at q^{n}")
+            new.append(x)
+        col += tuple(new)
+    _columns[mono] = scale, col
     return scale, col
+
+
+def _product(lower, gen, start, order):
+    """Entries start .. order of the product of two integer series, each
+    the dot product of lower with the reversed gen."""
+    rev = gen[order::-1]
+    return tuple(
+        sum(map(mul, lower, rev[order - n :])) for n in range(start, order + 1)
+    )
 
 
 def evaluate(p: QuasimodularPoly, order: int) -> QSeries:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -186,12 +187,27 @@ def test_graded_decomposition_sums_back():
 # the oracle of fit.
 
 
+def _times(s, t):
+    # the Cauchy product of two series, truncated to the smaller order
+    n = min(s.order, t.order)
+    return QSeries(
+        tuple(
+            sum(s.coeffs[i] * t.coeffs[m - i] for i in range(m + 1))
+            for m in range(n + 1)
+        )
+    )
+
+
+@lru_cache(maxsize=None)
 def _ref_monomial_series(mono, order):
-    out = QSeries.constant(1, order)
-    for k, e in zip((2, 4, 6), mono):
-        for _ in range(e):
-            out = out * eisenstein(k, order)
-    return out
+    # G2^a G4^b G6^c as a literal product of Eisenstein series: the
+    # memoized monomial with its last nonzero exponent lowered, times
+    # that generator
+    if not any(mono):
+        return QSeries.constant(1, order)
+    j = max(i for i, e in enumerate(mono) if e)
+    lower = tuple(e - (i == j) for i, e in enumerate(mono))
+    return _times(_ref_monomial_series(lower, order), eisenstein(2 * j + 2, order))
 
 
 def _ref_solve(matrix, rhs):
@@ -443,3 +459,60 @@ def test_top_weight_fits_up_to_six_run_no_bareiss(monkeypatch):
     for c in reversed(checks):
         assert top_weight_check(**c.params).ok, c.check_id
 
+
+def test_ramanujan_equations_in_this_normalization():
+    # D = q d/dq; the integers of modfit._column's recurrence come from
+    # these constants
+    g2, g4, g6 = (eisenstein(k, 40) for k in (2, 4, 6))
+    assert q_d_q(g2) == _times(g2, g2).scale(-2) + g4.scale(Fraction(5, 6))
+    assert q_d_q(g4) == _times(g2, g4).scale(-8) + g6.scale(Fraction(7, 10))
+    assert q_d_q(g6) == _times(g2, g6).scale(-12) + _times(g4, g4).scale(
+        Fraction(400, 7)
+    )
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["cold", "grown"])
+def test_columns_are_the_scaled_monomial_products(grown, monkeypatch):
+    monkeypatch.setattr(modfit, "_columns", {})
+    monos = basis(20)
+    if grown:
+        # every column extends its stored entries from q^31 on
+        for m in monos:
+            modfit._column(m, 30)
+        assert {len(col) for _, col in modfit._columns.values()} == {31}
+    for m in monos:
+        scale, col = modfit._column(m, 60)
+        assert scale == 24 ** m[0] * 240 ** m[1] * 504 ** m[2]
+        assert QSeries(col) == _ref_monomial_series(m, 60).scale(scale), m
+
+
+def test_a_non_integral_recurrence_entry_raises_and_stores_nothing(monkeypatch):
+    monkeypatch.setattr(modfit, "_columns", {})
+    for m in basis(10):
+        modfit._column(m, 30)
+    scale, col = modfit._columns[(0, 2, 0)]
+    modfit._columns[(0, 2, 0)] = scale, col[:3] + (col[3] + 1,) + col[4:]
+    del modfit._columns[(2, 1, 0)]
+    # G2^2 G4 divides by k = 10, and its term 2 col(0, 2, 0) moves the
+    # q^3 numerator by 2
+    with pytest.raises(ArithmeticError, match=r"q\^3"):
+        modfit._column((2, 1, 0), 30)
+    assert (2, 1, 0) not in modfit._columns
+
+
+def test_only_modular_monomials_are_convolved(monkeypatch):
+    monkeypatch.setattr(modfit, "_columns", {})
+    products = []
+    product = modfit._product
+
+    def counted(lower, gen, start, order):
+        products.append(order)
+        return product(lower, gen, start, order)
+
+    monkeypatch.setattr(modfit, "_product", counted)
+    for m in basis(18):
+        modfit._column(m, 57)
+    # of the 52 non-constant monomials, the 9 G4^b G6^c of weight 8 .. 18
+    # are products; the 3 generators and the 40 with G2 are not
+    assert products == [57] * 9
+    assert sorted(modfit._columns) == sorted(m for m in basis(18) if any(m))
