@@ -1,5 +1,5 @@
-"""Laurent expansions in w with q-series coefficients, and the necklace
-coefficient series they control.
+"""Laurent expansions in w with q-series coefficients, the necklace
+coefficient series they control, and its quasimodular top weight.
 
 The formal variable w stands for 2*pi*i*z, so every coefficient stays
 rational.  An expansion is a dict {e: QSeries} of the coefficients of
@@ -19,7 +19,8 @@ from math import comb
 from operator import index
 
 from .exact import bernoulli, factorial
-from .modfit import FitInconsistency, evaluate, fit, graded_part
+from .modfit import FitInconsistency, evaluate, fit, graded_part, necklace_polynomial
+from .modfit import _fit_monomials
 from .qseries import QSeries, divisor_sigmas, eisenstein
 from .report import CheckResult, failed, passed
 
@@ -182,6 +183,12 @@ def _top_weight_target(g: int, m: int, q_order: int) -> QSeries:
     )
 
 
+# the heaviest top weight that top_weight_check fits, not builds: every
+# top-weight check of the default `verify all` (g <= 3, m <= 4) has
+# weight <= 12, and benchmarks/selftest.py counts its 30 fits
+_FIT_MAX_WEIGHT = 12
+
+
 def top_weight_check(
     g: int, j_plus: int, j_minus: int, q_order: int
 ) -> CheckResult:
@@ -189,34 +196,39 @@ def top_weight_check(
     weight at most 2g-2+2m and that its top graded part equals
     (2/(m-1)!) (q d/dq)^(m-1) G_2g.
 
-    When j_minus = 0 the series' constant is unknown, so the fit implies
-    the regularized constant instead of asserting it.  A fit
-    inconsistency is reported verbatim: at this truncation order it
-    would falsify the quasimodularity of the necklace coefficient.
-    The order must leave fit its surplus rows; fit raises ValueError
-    otherwise.
+    Up to weight _FIT_MAX_WEIGHT the polynomial is fit to the series
+    (implying the regularized constant when j_minus = 0); an
+    inconsistency, reported verbatim, would falsify quasimodularity at
+    this order.  Above it, modfit.necklace_polynomial must evaluate to
+    the series at every q-power, q^0 only when j_minus >= 1.  Either
+    needs an order that leaves fit its surplus rows (else ValueError).
     """
     m = j_plus + j_minus
     top_weight = 2 * g - 2 + 2 * m
     params = {"g": g, "j_plus": j_plus, "j_minus": j_minus, "q_order": q_order}
     series = necklace_coefficient_series(g, j_plus, j_minus, q_order)
-    result = fit(series, top_weight)
-    if isinstance(result, FitInconsistency):
-        return failed(
-            "elliptic.top_weight", {"fit_inconsistency": str(result)}, **params
-        )
-    lhs = evaluate(graded_part(result, top_weight), q_order)
-    rhs = _top_weight_target(g, m, q_order)
-    if lhs == rhs:
+    if top_weight <= _FIT_MAX_WEIGHT:
+        result = fit(series, top_weight)
+        if isinstance(result, FitInconsistency):
+            return failed(
+                "elliptic.top_weight", {"fit_inconsistency": str(result)}, **params
+            )
+    else:
+        _fit_monomials(top_weight, q_order)  # fit's order precondition
+        result = necklace_polynomial(g, j_plus, j_minus)
+        built, coeffs = evaluate(result, q_order).coeffs, series.coeffs
+        start = 0 if series.constant_known else 1
+        n = next((n for n in range(start, q_order + 1) if built[n] != coeffs[n]), None)
+        if n is not None:
+            witness = {"construction_q_power": n, "construction": built[n]}
+            return failed(
+                "elliptic.top_weight", {**witness, "series": coeffs[n]}, **params
+            )
+    lhs = evaluate(graded_part(result, top_weight), q_order).coeffs
+    rhs = _top_weight_target(g, m, q_order).coeffs
+    n = next((n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
+    if n is None:
         return passed("elliptic.top_weight", **params)
-    diff = lhs - rhs
-    first_bad = next(n for n, c in enumerate(diff.coeffs) if c != 0)
     return failed(
-        "elliptic.top_weight",
-        {
-            "q_power": first_bad,
-            "lhs": lhs.coeffs[first_bad],
-            "rhs": rhs.coeffs[first_bad],
-        },
-        **params,
+        "elliptic.top_weight", {"q_power": n, "lhs": lhs[n], "rhs": rhs[n]}, **params
     )

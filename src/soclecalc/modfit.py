@@ -1,36 +1,30 @@
 """The graded ring of quasimodular forms C[G2, G4, G6].
 
 Provides basis enumeration by weight, exact evaluation of polynomials in
-the generators to truncated q-series, and the inverse problem: exact
-recognition of a truncated series as such a polynomial.  Recognition is
-the workhorse of the top-weight verification in the elliptic module.
+the generators to truncated q-series, the polynomial of each necklace
+coefficient series built from q d/dq and the Eisenstein series, and the
+inverse problem: exact recognition of a truncated series as such a
+polynomial (`fit`), the top-weight check's oracle at low weight.
 
-Both directions work on integer columns, one store for all of them.
-Each G_k beyond q^0 is a divisor sum, so den_k * G_k is an integer
-series (den_k = 24, 240, 504) and is the generator's column; every
-monomial G2^a G4^b G6^c is kept as the integer series of
-24^a 240^b 504^c times it, grown to the largest order asked for.  Only
-the modular monomials G4^b G6^c are series products; every monomial
-with G2 comes in O(order) from Ramanujan's equations, which close the
-ring under q d/dq (Kaneko-Zagier), and columns of its own weight.  Each
-recognition matrix's leading square block is a leading block of the
-larger ones, so one unpivoted LU factorization modulo the prime
-2^127 - 1, grown to the largest block asked for, serves every fit,
-which substitutes through its block and rebuilds a rational candidate
-by rational reconstruction.  One exact scan of every row decides
-consistency: Bareiss fraction-free elimination solves only the systems
-whose candidate is missing or fails it, and its first unmatched row is
-the witness of every inconsistent one.
+Both directions work on integer columns, one store for all of them:
+24^a 240^b 504^c G2^a G4^b G6^c for every monomial, grown to the largest
+order asked for (_column).  Each recognition matrix's leading square
+block is a leading block of the larger ones, so one fraction-free LU
+factorization, grown to the largest block asked for, serves every fit
+(_solve); one exact scan of every row accepts its block's solution or
+names the first row it misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from operator import index, mul
+from functools import lru_cache
+from math import lcm
+from operator import add, index, mul
 from typing import Iterable, Mapping
 
+from .exact import factorial
 from .qseries import QSeries, eisenstein
 
 __all__ = [
@@ -42,6 +36,7 @@ __all__ = [
     "fit",
     "graded_part",
     "monomial_weight",
+    "necklace_polynomial",
 ]
 
 # exponent triple (a, b, c) standing for G2^a * G4^b * G6^c
@@ -50,11 +45,10 @@ Monomial = tuple[int, int, int]
 # surplus rows a fit needs beyond its unknowns
 _MARGIN = 5
 
-# the modulus of the modular solve, the Mersenne prime 2^127 - 1; its
-# reconstruction bound 2^63 is above the numerators it rebuilds (< 2^57)
-# and the common denominators (< 2^50) of the top-weight fits at
-# g, m <= 10, where the numerators over the final denominator reach 2^70
-_PRIME = (1 << 127) - 1
+# Ramanujan's equations, D = q d/dq: DG2 = -2 G2^2 + (5/6) G4,
+# DG4 = -8 G2 G4 + (7/10) G6, DG6 = -12 G2 G6 + (400/7) G4^2; _column has
+# its own integers for them, so evaluating a built polynomial checks both
+_RAMANUJAN = (Fraction(5, 6), Fraction(7, 10), Fraction(400, 7))
 
 
 def monomial_weight(mono: Monomial) -> int:
@@ -153,9 +147,8 @@ def _column(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     in O(order).  With D = q d/dq and col(a, b, c) its column,
       24 D col(a-1, b, c) = 2(a-1) col(a-2, b+1, c) + 8b col(a-1, b-1, c+1)
                             + 12c col(a-1, b+2, c-1) - k col(a, b, c),
-    k = 2(a-1) + 8b + 12c, since DG2 = -2 G2^2 + (5/6) G4,
-    DG4 = -8 G2 G4 + (7/10) G6 and DG6 = -12 G2 G6 + (400/7) G4^2.  Its
-    other three columns have the same weight and a lower G2 degree; each
+    k = 2(a-1) + 8b + 12c, by the equations of _RAMANUJAN.  Its other
+    three columns have the same weight and a lower G2 degree; each
     entry's division by k is checked, not assumed."""
     if not any(mono):
         return 1, (1,) + (0,) * order
@@ -223,13 +216,11 @@ def evaluate(p: QuasimodularPoly, order: int) -> QSeries:
         scale, col = _column(mono, order)
         terms.append((coeff / scale, col))
     den = lcm(*(c.denominator for c, _ in terms))
-    weighted = [(c.numerator * (den // c.denominator), col) for c, col in terms]
-    return QSeries(
-        tuple(
-            Fraction(sum(x * col[n] for x, col in weighted), den)
-            for n in range(order + 1)
-        )
-    )
+    total = [0] * (order + 1)
+    for c, col in terms:
+        x = c.numerator * (den // c.denominator)
+        total = [t + x * y for t, y in zip(total, col)]
+    return QSeries(tuple(Fraction(t, den) for t in total))
 
 
 def graded_part(p: QuasimodularPoly, weight: int) -> QuasimodularPoly:
@@ -239,6 +230,98 @@ def graded_part(p: QuasimodularPoly, weight: int) -> QuasimodularPoly:
     )
 
 
+@lru_cache(maxsize=None)
+def _eisenstein_polynomial(k: int) -> QuasimodularPoly:
+    """G_k, k >= 2 even, as a polynomial: G2, G4, G6 are generators, and
+    G_2n (n >= 4) comes from G4 and G6 by Apostol's recurrence (Modular
+    Functions and Dirichlet Series, Thm 1.13) for the Laurent coefficients
+    c_n = 2 G_2n / (2n-2)! of elliptic.weierstrass_expansion:
+        (2n+1)(n-3) c_n = 3 sum_{i=2}^{n-2} c_i c_(n-i)."""
+    if k <= 6:
+        return QuasimodularPoly({(k == 2, k == 4, k == 6): 1})
+    n = k // 2
+    scale = Fraction(6 * factorial(k - 2), (k + 1) * (n - 3))
+    terms = []
+    for i in range(2, n - 1):
+        # the term c_i c_(n-i), solved for G_2n
+        x = scale / (factorial(2 * i - 2) * factorial(k - 2 * i - 2))
+        terms += (
+            (tuple(map(add, m1, m2)), x * x1 * x2)
+            for m1, x1 in _eisenstein_polynomial(2 * i)._terms
+            for m2, x2 in _eisenstein_polynomial(k - 2 * i)._terms
+        )
+    return QuasimodularPoly(terms)
+
+
+@lru_cache(maxsize=None)
+def _derivative(p: QuasimodularPoly) -> QuasimodularPoly:
+    """D = q d/dq on a polynomial: D(G2^a G4^b G6^c) is
+    -(2a + 8b + 12c) G2^(a+1) G4^b G6^c plus a, b and c times the
+    Ramanujan terms of DG2, DG4 and DG6 with that generator taken out."""
+    r2, r4, r6 = _RAMANUJAN
+    terms = []
+    for (a, b, c), x in p._terms:
+        terms.append(((a + 1, b, c), -(2 * a + 8 * b + 12 * c) * x))
+        if a:
+            terms.append(((a - 1, b + 1, c), a * r2 * x))
+        if b:
+            terms.append(((a, b - 1, c + 1), b * r4 * x))
+        if c:
+            terms.append(((a, b + 2, c - 1), c * r6 * x))
+    return QuasimodularPoly(terms)
+
+
+def necklace_polynomial(g: int, j_plus: int, j_minus: int) -> QuasimodularPoly:
+    """The polynomial of elliptic.necklace_coefficient_series, built, not
+    recognized (Oberdieck-Pixton: the series is quasimodular).
+
+    With m = j_plus + j_minus and K = 2g - 2 + m the series is
+    sum_{a, n >= 1} a^K P(n) q^(an), where P(n) = sum_i c_i n^i is
+    C(n - j_minus + m - 1, m - 1) + C(n - j_plus + m - 1, m - 1) (each
+    binomial vanishes below its branch's first term), so beyond q^0 it
+    is sum_i c_i D^i G_(K-i+1); a nonzero c_i with K - i + 1 odd raises
+    ArithmeticError.  No term is the constant monomial: c_0 = P(0) is
+    nonzero only when j_minus = 0, whose q^0 coefficient fit leaves free.
+    """
+    if g < 1 or j_plus < 1 or j_minus < 0:
+        raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
+    m = j_plus + j_minus
+    c = [Fraction(0)] * m
+    for start in (j_minus, j_plus):
+        # (n - start + 1) ... (n - start + m - 1) / (m - 1)!, by powers of n
+        binom = [Fraction(1, factorial(m - 1))]
+        for t in range(1 - start, m - start):
+            binom = [t * x + y for x, y in zip(binom + [0], [0] + binom)]
+        c = list(map(add, c, binom))
+    terms = []
+    for i, ci in enumerate(c):
+        k = 2 * g - 1 + m - i
+        if ci and k % 2:
+            raise ArithmeticError(f"c_{i} = {ci} would multiply D^{i} G_{k}")
+        if ci:
+            p = _eisenstein_polynomial(k)
+            for _ in range(i):
+                p = _derivative(p)
+            terms += ((mono, ci * x) for mono, x in p._terms)
+    return QuasimodularPoly(terms)
+
+
+def _fit_monomials(max_weight: int, order: int) -> list[Monomial]:
+    """The monomials a fit at max_weight solves for, all but 1; ValueError
+    unless the rows q^1 .. q^order leave _MARGIN surplus rows (a fit that
+    merely interpolates proves nothing)."""
+    if max_weight < 0 or max_weight % 2:
+        raise ValueError(f"max_weight must be even and >= 0, got {max_weight}")
+    monos = [m for m in basis(max_weight) if m != (0, 0, 0)]
+    surplus = order - len(monos)
+    if surplus < _MARGIN:
+        raise ValueError(
+            f"series order {order} leaves surplus {surplus} rows for "
+            f"{len(monos)} non-constant monomials; need {_MARGIN}"
+        )
+    return monos
+
+
 def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     """Recognize a truncated series as a polynomial in G2, G4, G6.
 
@@ -246,35 +329,25 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     of the non-constant monomials of weight <= max_weight, scaled to an
     integer system.  The constant monomial 1 is zero beyond q^0, so it
     can only absorb the q^0 row; the matrix therefore depends on
-    (max_weight, order) alone, and _factor_modular serves its leading
-    square block.  The modular solve only proposes a candidate.  One
-    exact integer scan of every row decides consistency: it accepts the
-    modular candidate, or, when there is none or it misses a row,
-    accepts the Bareiss solution or names the first row that solution
-    misses.  The system must be
-    overdetermined by at least _MARGIN surplus rows (a fit that merely
-    interpolates proves nothing); too small an order is an error.
+    (max_weight, order) alone.  One exact scan of every row accepts the
+    solution of its leading square block (_solve) or names the first
+    row it misses.
 
-    The mode is read off the series.  With s.constant_known the
-    coefficient of 1 is s[0] minus the q^0 value of the other terms.
-    Without it (a regularized series whose q^0 coefficient is
-    undefined) the polynomial has no constant term and implies a
-    regularized constant, namely its own q^0 value.
+    Growing _lu costs O(C^3) steps on minors that grow with its C
+    columns: from empty it took 0.1 s at weight 18, 1.3 s at 22 and
+    11 s at 26 (CPython 3.11, 2 vCPUs), so elliptic.top_weight_check
+    fits only up to weight 12 and builds the heavier polynomials.
+
+    With s.constant_known the coefficient of 1 is s[0] minus the q^0
+    value of the other terms.  Without it (a regularized series whose
+    q^0 coefficient is undefined) the polynomial has no constant term
+    and implies a regularized constant, namely its own q^0 value.
 
     Returns the unique matching polynomial, or a FitInconsistency naming
     the first q-power at which no polynomial can match.
     """
-    if max_weight < 0 or max_weight % 2:
-        raise ValueError(f"max_weight must be even and >= 0, got {max_weight}")
-    monos = [m for m in basis(max_weight) if m != (0, 0, 0)]
+    monos = _fit_monomials(max_weight, s.order)
     powers = range(1, s.order + 1)
-    surplus = len(powers) - len(monos)
-    if surplus < _MARGIN:
-        raise ValueError(
-            f"series order {s.order} leaves surplus {surplus} rows for "
-            f"{len(monos)} non-constant monomials; need {_MARGIN}"
-        )
-
     cols = [_column(m, s.order) for m in monos]
     # rows q^1 .. q^order; a system without columns still has its rows
     matrix = list(zip(*(col[1 : s.order + 1] for _, col in cols))) or [()] * s.order
@@ -283,19 +356,11 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     rhs = [
         s.coeffs[n].numerator * (den // s.coeffs[n].denominator) for n in powers
     ]
-
-    def unmatched(w, det):
-        # the first q-power whose row w / det misses, or None
-        rows = zip(powers, matrix, rhs)
-        return next((n for n, row, b in rows if sum(map(mul, row, w)) != det * b), None)
-
-    solved = _solve_modular([col for _, col in cols], rhs)
-    if solved is None or unmatched(*solved):
-        solved = _solve_fraction_free(matrix, rhs)
-        miss = unmatched(*solved)
-        if miss:
-            return FitInconsistency(miss, max_weight)
-    w, det = solved
+    w, det = _solve([col for _, col in cols], rhs)
+    rows = zip(powers, matrix, rhs)
+    miss = next((n for n, row, b in rows if sum(map(mul, row, w)) != det * b), None)
+    if miss:
+        return FitInconsistency(miss, max_weight)
     coeffs = [Fraction(scale * x, den * det) for (scale, _), x in zip(cols, w)]
     terms = dict(zip(monos, coeffs))
     if s.constant_known:
@@ -306,128 +371,53 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     return QuasimodularPoly(terms)
 
 
-# (lower, upper), A = L U modulo _PRIME without pivoting, A the leading
-# square block of the largest recognition matrix asked for so far: the
-# rows q^1 .. q^C and the first C = len(upper) non-constant monomials.
-# lower[i] is L[i][:i]; upper[j] is the inverse of U[j][j] and U[:j][j].
-_factors: tuple[list, list] = ([], [])
+# (pivots, lower, upper): the unpivoted fraction-free LU of A, the leading
+# square block (rows q^1 .. q^C, first C = len(pivots) non-constant monomials)
+# of the largest recognition matrix asked for so far.  With M_t(i, j) the
+# minor of A on rows 0 .. t-1, i and columns 0 .. t-1, j: pivots[t] =
+# M_t(t, t), lower[i] = [M_t(i, t) for t < i], upper[j] = [M_t(t, j) for t < j].
+_lu: tuple[list, list, list] = ([], [], [])
 
 
-def _factor_modular(cols):
-    """(lower, upper) of A = L U modulo _PRIME, A the leading square
-    block of the recognition matrix of the columns cols (the rows
-    q^1 .. q^len(cols)), cut from _factors; None when a pivot vanishes
-    mod _PRIME.
+def _bareiss(v, pivots, multipliers):
+    """The Bareiss steps on v in place: step t = 0, 1, .. sets v[i] =
+    (pivots[t] v[i] - multipliers[i][t] v[t]) / pivots[t-1] for i > t,
+    exactly.  v[t] ends as M_t(t, j) on column j of A with lower, and as
+    M_t(i, t) on row i with upper."""
+    for t, (prev, pivot) in enumerate(zip([1] + pivots, pivots[: len(v) - 1])):
+        vt = v[t]
+        for i in range(t + 1, len(v)):
+            v[i] = (pivot * v[i] - multipliers[i][t] * vt) // prev
 
-    cols are those of the first len(cols) non-constant monomials, and
-    basis(W) is a prefix of basis(W') for W <= W'.  Without pivoting the
-    L and U of a leading block are the leading parts of the grown ones,
-    so the store grows by one row and one column at a time (Doolittle):
-    a new column j costs one integer dot product per entry of U[:j][j]
-    and of L[j][:j], each reduced once mod _PRIME (delayed reduction, as
-    in FFLAS-FFPACK).  No pivot vanishes through the 313 columns of the
-    top-weight fits at g, m <= 10.
-    """
-    p = _PRIME
-    lower, upper = _factors
-    for j in range(len(upper), len(cols)):
-        col = cols[j]
-        v = []  # U[:j][j]
-        for i, row in enumerate(lower):
-            v.append((col[i + 1] - sum(map(mul, row, v))) % p)
-        row = []  # L[j][:j]
-        for c, (inv, u) in zip(cols, upper):
-            row.append((c[j + 1] - sum(map(mul, row, u))) * inv % p)
-        x = (col[j + 1] - sum(map(mul, row, v))) % p
-        if not x:
-            return None
+
+def _solve(cols, rhs):
+    """(w, det) for the leading square block of A z = b, A the recognition
+    matrix of the columns cols: det is the block's determinant and
+    w = det z, integers by Cramer's rule.  cols are those of the first
+    len(cols) non-constant monomials, and basis(W) is a prefix of
+    basis(W') for W <= W', so without pivoting a leading block's minors
+    are those of the grown one: _lu grows by row j, then column j down to
+    its pivot; a zero pivot (none through 313 columns) raises
+    ValueError.  rhs[:C] goes forward through the same steps, then back
+    through upper."""
+    pivots, lower, upper = _lu
+    for j in range(len(pivots), len(cols)):
+        row = [col[j + 1] for col in cols[:j]]
+        _bareiss(row, pivots, upper)
+        col = list(cols[j][1 : j + 2])
+        _bareiss(col, pivots, lower + [row])
+        if not col[j]:
+            raise ValueError(f"leading minor {j + 1} of the recognition matrix is 0")
         lower.append(row)
-        upper.append((pow(x, -1, p), v))
-    return lower[: len(cols)], upper[: len(cols)]
-
-
-def _solve_modular(cols, rhs):
-    """A candidate (w, det) for A z = b, A the recognition matrix of the
-    columns cols and the rows q^1 .. q^len(rhs); fit's exact scan of
-    every row decides whether it counts.
-
-    Substitutes rhs[:len(cols)] forward through L and back through U of
-    the leading square block (_factor_modular modulo _PRIME) and rebuilds
-    z = w / det with a running common denominator det (Wang's rational
-    reconstruction, numerator and denominator both at most
-    isqrt(_PRIME // 2)).  That block is then invertible, so a candidate
-    that matches every row is the unique solution.  None when a pivot
-    vanishes mod _PRIME or reconstruction fails.
-    """
-    p = _PRIME
-    lu = _factor_modular(cols)
-    if lu is None:
-        return None
-    lower, upper = lu
-    y = []
-    for row, b in zip(lower, rhs):
-        y.append((b - sum(map(mul, row, y))) % p)
-    z = [0] * len(upper)
-    for inv, u in reversed(upper):
-        x = z[len(u)] = y.pop() * inv % p
-        y = [a - c * x for a, c in zip(y, u)]
-
-    bound = isqrt(p // 2)
-    det = 1
-    w = []
-    for x in z:
-        # Wang: the remainder sequence of (p, det * x) stops at the first
-        # remainder <= bound; its cofactor is the denominator
-        r0, r1, t0, t1 = p, det * x % p, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if t1 < 0:
-            r1, t1 = -r1, -t1
-        if det * t1 > bound or gcd(r1, t1) != 1:
-            return None
-        w = [v * t1 for v in w] + [r1]
-        det *= t1
-    return w, det
-
-
-def _solve_fraction_free(matrix, rhs):
-    """Solve the overdetermined integer system A z = b by Bareiss
-    elimination, which keeps every entry an integer.
-
-    Forward elimination runs over all rows; the pivot is the first
-    nonzero entry at or below the current row.  Bareiss entries are
-    nonzero multiples of the Gauss-Jordan entries, so the pivot rows are
-    the ones Gauss-Jordan picks.  Returns (w, det): det is the
-    determinant of the pivot rows and w = det * z the integer solution
-    of the pivot rows; fit's exact scan of every row then accepts it or
-    names the first surplus row it misses, the inconsistency witness.
-    Raises if the columns are linearly dependent, which cannot happen
-    for distinct Eisenstein monomials with enough rows.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    prev = 1
-    for c in range(ncols):
-        pr = next((i for i in range(c, nrows) if aug[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("dependent monomial columns; increase the order")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pivot_row = aug[c]
-        pv = pivot_row[c]
-        for i in range(c + 1, nrows):
-            row = aug[i]
-            f = row[c]
-            # exact: every entry is a minor of the row-permuted system
-            row[c:] = [
-                (pv * x - f * y) // prev for x, y in zip(row[c:], pivot_row[c:])
-            ]
-        prev = pv
-    det = prev
-    w = [0] * ncols
-    for r in reversed(range(ncols)):
-        row = aug[r]
-        acc = det * row[ncols] - sum(row[k] * w[k] for k in range(r + 1, ncols))
-        w[r] = acc // row[r]
+        upper.append(col[:j])
+        pivots.append(col[j])
+    n = len(cols)
+    y = rhs[:n]
+    _bareiss(y, pivots, lower)
+    det = pivots[n - 1] if n else 1
+    y = [det * x for x in y]
+    w = [0] * n
+    for k in reversed(range(n)):
+        x = w[k] = y[k] // pivots[k]
+        y = [a - u * x for a, u in zip(y, upper[k])]
     return w, det

@@ -71,11 +71,6 @@ class QSeries:
     def __neg__(self) -> "QSeries":
         return QSeries(tuple(-c for c in self.coeffs), self.constant_known)
 
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, c) -> "QSeries":
         c = Fraction(c)
         return QSeries(tuple(c * x for x in self.coeffs), self.constant_known)

@@ -15,8 +15,13 @@ exact values of `dr3_closed`, `dr3_recursive` and `faber` at larger
 sizes than the rows above: the three-point table and the dr suite at
 g <= 12, and the socle table at g, n <= 10.  The fixed runs
 kept out of this table are `verify topweight --g-max 10 --m-max 10`
-and `table socle --g-max 14 --n-max 14 --format csv`, too slow for
-Tier-1, which CI pins by their exit status and sha256.
+(550 checks), `verify topweight --g-max 12 --m-max 12` (936 checks,
+past the sizes that fit could solve; its checks above weight 12
+evaluate the built polynomial) and
+`table socle --g-max 14 --n-max 14 --format csv`, too slow for Tier-1,
+which CI pins by their exit status and sha256.  The top-weight row
+here and the g, m <= 10 digest were kept byte for byte when the checks
+above weight 12 stopped fitting.
 
 The seven JSON `verify` rows were re-recorded when the JSON `config`
 stopped echoing every flag and began listing only the flags its suites

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from soclecalc import elliptic, qseries, report
+from soclecalc.cli import suite_topweight
 from soclecalc.elliptic import (
     check_divisor_power_k_fails,
     check_propagator_identity,
@@ -20,6 +21,7 @@ from soclecalc.modfit import (
     fit,
     graded_part,
     monomial_weight,
+    necklace_polynomial,
 )
 from soclecalc.qseries import QSeries, eisenstein, q_d_q
 
@@ -232,6 +234,10 @@ def test_necklace_series_rejects_bad_input():
         necklace_coefficient_series(12.0, 3, 2, 40)
     with pytest.raises(TypeError):
         necklace_coefficient_series(1, 1, 1, 5.0)
+    # the built polynomial rejects what the series rejects
+    for args in ((0, 1, 1), (1, 0, 2), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            necklace_polynomial(*args)
 
 
 # --- top weight extraction
@@ -325,6 +331,18 @@ def test_top_weight_failures_carry_their_witnesses(monkeypatch):
             "fit_inconsistency": str(FitInconsistency(q_order, top_weight))
         }
         assert res.witness["fit_inconsistency"].endswith(f"at q^{q_order}")
+    # above weight 12 the built polynomial is compared with the series;
+    # (5, 3, 0) has an odd m, so its built polynomial has a nonzero q^0
+    # value, the regularized constant the series leaves unknown
+    for g, j_plus, j_minus in ((4, 2, 2), (5, 3, 0)):
+        q_order = len(basis(14)) + 5
+        res = top_weight_check(g, j_plus, j_minus, q_order)
+        value = honest(g, j_plus, j_minus, q_order).coeffs[q_order]
+        assert res.witness == {
+            "construction_q_power": q_order,
+            "construction": value,
+            "series": value + 1,
+        }
 
 
 def test_top_weight_order_precondition():
@@ -332,10 +350,20 @@ def test_top_weight_order_precondition():
         top_weight_check(3, 2, 2, 12)
 
 
+def test_top_weight_past_the_old_reconstruction_limit():
+    # weight 40, 357 non-constant monomials at q-order 362: past the
+    # sizes that a fit can afford, every split passes, j+ = 10, j- = 0
+    # among them
+    checks = suite_topweight(11, 10, 11, 10)
+    assert [c.params["j_plus"] for c in checks] == list(range(1, 11))
+    assert all(c.ok for c in checks)
+
+
 def test_top_weight_order_rule_is_fit_margin():
     # the fit solves q^1..q^order against the monomials other than 1 and
-    # needs 5 surplus rows, so len(basis(W)) + 4 is the smallest order
-    for g, j_plus, j_minus in ((1, 1, 0), (2, 1, 1), (3, 2, 1)):
+    # needs 5 surplus rows, so len(basis(W)) + 4 is the smallest order;
+    # the built polynomial above weight 12 runs at the same orders
+    for g, j_plus, j_minus in ((1, 1, 0), (2, 1, 1), (3, 2, 1), (4, 2, 2), (5, 3, 0)):
         order = len(basis(2 * g - 2 + 2 * (j_plus + j_minus))) + 4
         assert top_weight_check(g, j_plus, j_minus, order).ok
         with pytest.raises(ValueError):

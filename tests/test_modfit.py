@@ -6,6 +6,7 @@ import pytest
 
 from soclecalc import modfit
 from soclecalc.cli import suite_topweight
+from soclecalc.elliptic import necklace_coefficient_series
 from soclecalc.modfit import (
     FitInconsistency,
     QuasimodularPoly,
@@ -14,6 +15,7 @@ from soclecalc.modfit import (
     fit,
     graded_part,
     monomial_weight,
+    necklace_polynomial,
 )
 from soclecalc.qseries import QSeries, eisenstein, q_d_q
 
@@ -90,6 +92,11 @@ def test_fit_reports_inconsistency():
     # be matched was computed beforehand by the same elimination by hand
     assert rep.first_inconsistent_power == 4
     assert "q^4" in str(rep)
+    # off by 2^127 - 1 on the last (surplus) row: consistent modulo that
+    # prime, inconsistent over Q
+    coeffs = list(q_d_q(eisenstein(2, 14)).coeffs)
+    coeffs[14] += (1 << 127) - 1
+    assert fit(QSeries(tuple(coeffs)), 4) == FitInconsistency(14, 4)
 
 
 def test_fit_round_trip_random_polys():
@@ -102,6 +109,16 @@ def test_fit_round_trip_random_polys():
         }
         p = QuasimodularPoly(terms)
         assert fit(evaluate(p, 25), 8) == p
+    # numerators and denominators above 2^70
+    p = QuasimodularPoly(
+        {
+            (0, 0, 0): Fraction(2**71 + 1, 3**45),
+            (1, 0, 0): Fraction(-(2**73) - 7, 5**31),
+            (0, 1, 0): Fraction(3**50, 2**71 + 3),
+            (1, 1, 0): Fraction(7**26, 11**21),
+        }
+    )
+    assert fit(evaluate(p, 20), 6) == p
 
 
 def test_fit_stable_under_higher_order():
@@ -256,12 +273,12 @@ def _ref_fit(s, max_weight, free_constant, columns):
     return QuasimodularPoly(dict(zip(monos, coeffs)))
 
 
-def test_fit_matches_gauss_jordan_reference(monkeypatch):
-    from soclecalc import modfit
-
+def test_fit_matches_gauss_jordan_reference():
     rng = random.Random(20261018)
     columns = {}  # order -> monomial -> reference column
-    store101 = ([], [])  # one factorization modulo 101 for every trial
+    # truncations of the longest: a truncated product is the product of
+    # the truncations
+    longest = {m: _ref_monomial_series(m, 30) for m in basis(12)}
     seen = {"consistent": 0, "inconsistent": 0, "free": 0, "fixed": 0}
     weights = set()
     for trial in range(200):
@@ -270,7 +287,9 @@ def test_fit_matches_gauss_jordan_reference(monkeypatch):
         monos = [m for m in basis(weight) if not (free and m == (0, 0, 0))]
         order = len(monos) + (0 if free else -1) + 5 + rng.randint(0, 2)
         if order not in columns:
-            columns[order] = {m: _ref_monomial_series(m, order) for m in basis(12)}
+            columns[order] = {
+                m: QSeries(c.coeffs[: order + 1]) for m, c in longest.items()
+            }
         terms = {
             m: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
             for m in rng.sample(monos, k=rng.randint(1, len(monos)))
@@ -287,12 +306,6 @@ def test_fit_matches_gauss_jordan_reference(monkeypatch):
         got = fit(s, weight)
         ref = _ref_fit(s, weight, free, columns[order])
         assert got == ref, (trial, weight, free)
-        # modulo a small prime, reconstruction often yields a wrong
-        # candidate; certification must reject it
-        with monkeypatch.context() as patch:
-            patch.setattr(modfit, "_PRIME", 101)
-            patch.setattr(modfit, "_factors", store101)
-            assert fit(s, weight) == ref, (trial, weight, free)
         seen["inconsistent" if isinstance(got, FitInconsistency) else "consistent"] += 1
         seen["free" if free else "fixed"] += 1
         weights.add(weight)
@@ -310,80 +323,61 @@ def test_fit_and_top_weight_run_no_series_products(monkeypatch):
     monkeypatch.setattr(QSeries, "__mul__", forbidden)
     monkeypatch.setattr(QSeries, "__rmul__", forbidden)
     modfit._columns.clear()
-    modfit._factors = ([], [])
+    monkeypatch.setattr(modfit, "_lu", ([], [], []))
     assert fit(q_d_q(eisenstein(2, 14)), 4) == QuasimodularPoly(
         {(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)}
     )
     assert top_weight_check(5, 1, 4, 58).ok
 
 
-def test_bareiss_runs_only_when_the_modular_solve_cannot_certify(monkeypatch):
-    from soclecalc import modfit
-    from soclecalc.elliptic import top_weight_check
-
-    calls = []
-    bareiss = modfit._solve_fraction_free
-
-    def counted(matrix, rhs):
-        calls.append(len(matrix))
-        return bareiss(matrix, rhs)
-
-    monkeypatch.setattr(modfit, "_solve_fraction_free", counted)
-    # consistent, but numerators and denominators above 2^70 are past the
-    # reconstruction bound isqrt(_PRIME // 2) = 2^63
-    p = QuasimodularPoly(
-        {
-            (0, 0, 0): Fraction(2**71 + 1, 3**45),
-            (1, 0, 0): Fraction(-(2**73) - 7, 5**31),
-            (0, 1, 0): Fraction(3**50, 2**71 + 3),
-            (1, 1, 0): Fraction(7**26, 11**21),
-        }
-    )
-    assert fit(evaluate(p, 20), 6) == p
-    assert len(calls) == 1
-    calls.clear()
-    # off by _PRIME on the last (surplus) row: consistent modulo _PRIME,
-    # inconsistent over Q, so only the exact check of that row rejects it
-    coeffs = list(q_d_q(eisenstein(2, 14)).coeffs)
-    coeffs[14] += modfit._PRIME
-    assert fit(QSeries(tuple(coeffs)), 4) == FitInconsistency(14, 4)
-    assert len(calls) == 1
-    calls.clear()
-    assert top_weight_check(5, 1, 4, 58).ok
-    assert calls == []
-
-
 def _grown_state():
-    # every number the grown factorization holds, copied
-    lower, upper = modfit._factors
-    return [list(row) for row in lower], [(i, list(u)) for i, u in upper]
+    # every minor the store holds, copied
+    pivots, lower, upper = modfit._lu
+    return list(pivots), [list(r) for r in lower], [list(c) for c in upper]
 
 
 def _served(ncols):
-    # the factorization served for the first ncols non-constant monomials
+    # the store after a solve with the first ncols non-constant monomials,
+    # cut to their leading block
     monos = [m for m in basis(40) if any(m)][:ncols]
-    cols = [modfit._column(m, ncols)[1] for m in monos]
-    return modfit._factor_modular(cols)
+    modfit._solve([modfit._column(m, ncols)[1] for m in monos], [0] * ncols)
+    return tuple(part[:ncols] for part in _grown_state())
 
 
-def test_top_weight_splits_of_one_size_factor_once():
+def _leading_minor(ncols):
+    # by Fraction elimination: the product of the pivots
+    monos = [m for m in basis(40) if any(m)][:ncols]
+    rows = [
+        [Fraction(modfit._column(m, ncols)[1][n]) for m in monos]
+        for n in range(1, ncols + 1)
+    ]
+    det = Fraction(1)
+    for c in range(ncols):
+        det *= rows[c][c]
+        for row in rows[c + 1 :]:
+            f = row[c] / rows[c][c]
+            row[c:] = [x - f * y for x, y in zip(row[c:], rows[c][c:])]
+    return det
+
+
+def test_top_weight_splits_of_one_size_factor_once(monkeypatch):
     from soclecalc.elliptic import top_weight_check
 
     # the recognition matrix depends on (max_weight, order) alone, and
     # two splits j+ + j- = m of one (g, m) share both; every smaller
     # top-weight system is a leading block of theirs
     q_order = len(basis(2 * 3 - 2 + 2 * 3)) + 5
-    modfit._factors = ([], [])
+    monkeypatch.setattr(modfit, "_lu", ([], [], []))
     assert top_weight_check(3, 1, 2, q_order).ok
     grown = _grown_state()
-    assert len(grown[1]) == len(basis(10)) - 1
+    assert len(grown[0]) == len(basis(10)) - 1
     assert top_weight_check(3, 3, 0, q_order).ok
     assert _grown_state() == grown
     assert all(c.ok for c in suite_topweight(3, 3, None, None))
     assert _grown_state() == grown
 
 
-def test_warm_factorization_still_reports_the_inconsistency():
+def test_warm_factorization_still_reports_the_inconsistency(monkeypatch):
     p = QuasimodularPoly(
         {
             (0, 0, 0): Fraction(1, 3),
@@ -393,71 +387,59 @@ def test_warm_factorization_still_reports_the_inconsistency():
         }
     )
     s = evaluate(p, 16)
-    modfit._factors = ([], [])
+    monkeypatch.setattr(modfit, "_lu", ([], [], []))
     assert fit(s, 8) == p
     warm = _grown_state()
-    # a pivot row perturbed: the solution of the pivot rows changes, and
-    # the first surplus row it misses is the Bareiss witness
+    # a row of the leading block perturbed: the solution of that block
+    # changes, and the first surplus row it misses is the witness
     coeffs = list(s.coeffs)
     coeffs[5] += 1
     assert fit(QSeries(tuple(coeffs)), 8) == FitInconsistency(11, 8)
     assert _grown_state() == warm
 
 
-@pytest.mark.parametrize("p", [(1 << 127) - 1, 101, 17], ids=["2^127-1", "101", "17"])
-def test_grown_factorization_serves_the_fresh_leading_block(p, monkeypatch):
+def test_grown_factorization_serves_the_fresh_leading_block(monkeypatch):
     # column counts of the weights 4, 8, 10, 12 and 16 and two in between
     sizes = [3, 10, 13, 14, 15, 22, 40]
-    monkeypatch.setattr(modfit, "_PRIME", p)
     fresh = {}
     for size in sizes:
-        monkeypatch.setattr(modfit, "_factors", ([], []))
+        monkeypatch.setattr(modfit, "_lu", ([], [], []))
         fresh[size] = _served(size)
     interleaved = sizes[1::2] + sizes[-2::-2]
     for sequence in (sizes, sizes[::-1], interleaved):
-        monkeypatch.setattr(modfit, "_factors", ([], []))
+        monkeypatch.setattr(modfit, "_lu", ([], [], []))
         for size in sequence:
-            assert _served(size) == fresh[size], (p, size)
-    if p != 17:
-        assert None not in fresh.values()
-        return
-    # modulo 17 the 14th pivot vanishes: 13 columns are served, 14 or
-    # more are not, and the store keeps the 13
-    assert fresh[13] is not None
-    assert all(fresh[size] is None for size in sizes if size >= 14)
-    assert len(modfit._factors[1]) == 13
-    # fit still matches the reference, through Bareiss
-    calls = []
-    bareiss = modfit._solve_fraction_free
-
-    def counted(matrix, rhs):
-        calls.append(len(matrix))
-        return bareiss(matrix, rhs)
-
-    monkeypatch.setattr(modfit, "_solve_fraction_free", counted)
-    order = len(basis(10)) + 5
-    columns = {m: _ref_monomial_series(m, order) for m in basis(10)}
-    p10 = QuasimodularPoly({(5, 0, 0): Fraction(1, 3), (2, 0, 1): -2, (0, 1, 0): 7})
-    s = evaluate(p10, order)
-    assert fit(s, 10) == _ref_fit(s, 10, False, columns) == p10
-    assert calls == [order]
+            assert _served(size) == fresh[size], size
+    # the pivots are the leading minors
+    for size in (3, 10, 15):
+        assert fresh[40][0][size - 1] == _leading_minor(size), size
 
 
-def test_top_weight_fits_up_to_six_run_no_bareiss(monkeypatch):
-    from soclecalc.elliptic import top_weight_check
+def test_a_vanishing_leading_minor_raises(monkeypatch):
+    monkeypatch.setattr(modfit, "_lu", ([], [], []))
+    # rows q^1, q^2 of the two columns: [[1, 2], [2, 4]], singular
+    cols = [(0, 1, 2, 3), (0, 2, 4, 7)]
+    with pytest.raises(ValueError, match="leading minor 2"):
+        modfit._solve(cols, [1, 2])
+    # the store keeps the block it could grow, consistent
+    assert _grown_state() == ([1], [[]], [[]])
 
-    def forbidden(matrix, rhs):
-        raise AssertionError("Bareiss on a top-weight fit")
 
-    monkeypatch.setattr(modfit, "_solve_fraction_free", forbidden)
-    # in suite order the factorization grows; in reverse it is factored at
-    # the largest size first and every later fit is served a leading block
-    modfit._factors = ([], [])
-    checks = suite_topweight(6, 6, None, None)
-    assert len(checks) == 126 and all(c.ok for c in checks)
-    modfit._factors = ([], [])
-    for c in reversed(checks):
-        assert top_weight_check(**c.params).ok, c.check_id
+def test_construction_equals_fit_up_to_six():
+    # uniqueness of the matching polynomial needs fit's full column rank,
+    # so the construction is compared with fit where fit is affordable
+    checks = 0
+    for g in range(1, 7):
+        for m in range(1, 7):
+            weight = 2 * g - 2 + 2 * m
+            order = len(basis(weight)) + 5
+            for j_plus in range(1, m + 1):
+                s = necklace_coefficient_series(g, j_plus, m - j_plus, order)
+                assert fit(s, weight) == necklace_polynomial(
+                    g, j_plus, m - j_plus
+                ), (g, j_plus, m - j_plus)
+                checks += 1
+    assert checks == 126
 
 
 def test_ramanujan_equations_in_this_normalization():
