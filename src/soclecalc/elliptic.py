@@ -19,8 +19,15 @@ from math import comb
 from operator import index
 
 from .exact import bernoulli, factorial
-from .modfit import FitInconsistency, evaluate, fit, graded_part, necklace_polynomial
-from .modfit import _fit_monomials
+from .modfit import (
+    FitInconsistency,
+    _fit_monomials,
+    evaluate,
+    evaluate_with_top,
+    fit,
+    graded_part,
+    necklace_polynomial,
+)
 from .qseries import QSeries, divisor_sigmas, eisenstein
 from .report import CheckResult, failed, passed
 
@@ -213,10 +220,12 @@ def top_weight_check(
             return failed(
                 "elliptic.top_weight", {"fit_inconsistency": str(result)}, **params
             )
+        top = evaluate(graded_part(result, top_weight), q_order)
     else:
         _fit_monomials(top_weight, q_order)  # fit's order precondition
         result = necklace_polynomial(g, j_plus, j_minus)
-        built, coeffs = evaluate(result, q_order).coeffs, series.coeffs
+        full, top = evaluate_with_top(result, top_weight, q_order)
+        built, coeffs = full.coeffs, series.coeffs
         start = 0 if series.constant_known else 1
         n = next((n for n in range(start, q_order + 1) if built[n] != coeffs[n]), None)
         if n is not None:
@@ -224,7 +233,7 @@ def top_weight_check(
             return failed(
                 "elliptic.top_weight", {**witness, "series": coeffs[n]}, **params
             )
-    lhs = evaluate(graded_part(result, top_weight), q_order).coeffs
+    lhs = top.coeffs
     rhs = _top_weight_target(g, m, q_order).coeffs
     n = next((n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
     if n is None:

@@ -15,6 +15,7 @@ __all__ = [
     "double_factorial_odd",
     "factorial",
     "format_rational",
+    "rational",
 ]
 
 # n!, which raises ValueError for n < 0
@@ -51,7 +52,17 @@ def double_factorial_odd(m: int) -> int:
     return out
 
 
+def rational(x: Fraction | int) -> Fraction:
+    """x as a Fraction; TypeError unless x is an int or a Fraction, so no
+    float becomes a binary fraction unnoticed."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"need an int or a Fraction, got {type(x).__name__} {x!r}")
+
+
 def format_rational(x: Fraction | int) -> str:
     """Serialize an exact scalar as "num/den", always with the denominator."""
-    x = Fraction(x)
+    x = rational(x)
     return f"{x.numerator}/{x.denominator}"

@@ -17,15 +17,15 @@ names the first row it misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add, index, mul
-from typing import Iterable, Mapping
 
-from .exact import factorial
+from .exact import factorial, rational
 from .qseries import QSeries, eisenstein
+from .report import _Frozen, _set
 
 __all__ = [
     "FitInconsistency",
@@ -33,6 +33,7 @@ __all__ = [
     "QuasimodularPoly",
     "basis",
     "evaluate",
+    "evaluate_with_top",
     "fit",
     "graded_part",
     "monomial_weight",
@@ -62,7 +63,8 @@ def _basis_key(mono: Monomial):
 
 
 class QuasimodularPoly:
-    """Polynomial in G2, G4, G6 with exact rational coefficients.
+    """Polynomial in G2, G4, G6 with exact rational coefficients, each
+    given as an int or a Fraction (anything else raises TypeError).
 
     Stored as a canonical sorted tuple of (monomial, coefficient) pairs
     with zero coefficients dropped; the zero polynomial has no terms.
@@ -81,7 +83,7 @@ class QuasimodularPoly:
             if len(mono) != 3 or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent triple {mono!r}")
             if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
+                coeff = rational(coeff)
             if coeff != 0:
                 acc[mono] = acc[mono] + coeff if mono in acc else coeff
         self._terms = tuple(
@@ -100,13 +102,15 @@ class QuasimodularPoly:
         return hash(self._terms)
 
 
-@dataclass(frozen=True)
-class FitInconsistency:
+class FitInconsistency(_Frozen):
     """Report that a series is not a quasimodular polynomial at the
     requested weight bound: the exact linear system has no solution."""
 
-    first_inconsistent_power: int
-    max_weight: int
+    __slots__ = ("first_inconsistent_power", "max_weight")
+
+    def __init__(self, first_inconsistent_power: int, max_weight: int):
+        _set(self, "first_inconsistent_power", first_inconsistent_power)
+        _set(self, "max_weight", max_weight)
 
     def __str__(self) -> str:
         return (
@@ -209,18 +213,45 @@ def evaluate(p: QuasimodularPoly, order: int) -> QSeries:
     """Substitute the Eisenstein q-expansions and expand exactly: the sum
     of coeff/scale times the integer column of each monomial, over one
     common denominator."""
+    den, total = _integer_sum(p._terms, order)
+    return QSeries(tuple(Fraction(t, den) for t in total))
+
+
+def evaluate_with_top(
+    p: QuasimodularPoly, weight: int, order: int
+) -> tuple[QSeries, QSeries]:
+    """(evaluate(p, order), evaluate(graded_part(p, weight), order)),
+    evaluating each term once: the two parts' integer sums are added
+    over their common denominator."""
+    top_den, top = _integer_sum(
+        [t for t in p._terms if monomial_weight(t[0]) == weight], order
+    )
+    rest_den, rest = _integer_sum(
+        [t for t in p._terms if monomial_weight(t[0]) != weight], order
+    )
+    den = lcm(top_den, rest_den)
+    a, b = den // top_den, den // rest_den
+    return (
+        QSeries(tuple(Fraction(a * x + b * y, den) for x, y in zip(top, rest))),
+        QSeries(tuple(Fraction(x, top_den) for x in top)),
+    )
+
+
+def _integer_sum(terms, order: int) -> tuple[int, list[int]]:
+    """(den, den * the q^0 .. q^order coefficients of the sum of the
+    terms), den the lcm of the denominators of each coeff/scale."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    terms = []
-    for mono, coeff in p._terms:
+    scaled = []
+    for mono, coeff in terms:
         scale, col = _column(mono, order)
-        terms.append((coeff / scale, col))
-    den = lcm(*(c.denominator for c, _ in terms))
+        scaled.append((coeff / scale, col))
+    den = lcm(*(c.denominator for c, _ in scaled))
     total = [0] * (order + 1)
-    for c, col in terms:
+    for c, col in scaled:
         x = c.numerator * (den // c.denominator)
         total = [t + x * y for t, y in zip(total, col)]
-    return QSeries(tuple(Fraction(t, den) for t in total))
+    return den, total
 
 
 def graded_part(p: QuasimodularPoly, weight: int) -> QuasimodularPoly:

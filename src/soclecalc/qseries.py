@@ -13,11 +13,11 @@ unknown constant either propagates the flag or raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import bernoulli
+from .exact import bernoulli, rational
+from .report import _Frozen, _set
 
 __all__ = [
     "QSeries",
@@ -26,21 +26,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QSeries:
-    coeffs: tuple[Fraction, ...]
-    constant_known: bool = True
+class QSeries(_Frozen):
+    """Coefficients of q^0 .. q^order, each an int or a Fraction (kept as
+    Fractions; anything else raises TypeError)."""
 
-    def __post_init__(self):
-        coeffs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs
-        )
+    __slots__ = ("coeffs", "constant_known")
+
+    def __init__(self, coeffs, constant_known: bool = True):
+        coeffs = tuple(c if isinstance(c, Fraction) else rational(c) for c in coeffs)
         if not coeffs:
             raise ValueError("QSeries needs at least the q^0 coefficient")
-        if not self.constant_known:
+        if not constant_known:
             # canonical placeholder so that equality stays structural
             coeffs = (Fraction(0),) + coeffs[1:]
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", coeffs)
+        _set(self, "constant_known", constant_known)
 
     @property
     def order(self) -> int:
@@ -52,7 +52,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, value, order: int) -> "QSeries":
-        return cls((Fraction(value),) + (Fraction(0),) * order)
+        return cls((rational(value),) + (Fraction(0),) * order)
 
     def __getitem__(self, n: int) -> Fraction:
         if n == 0 and not self.constant_known:
@@ -72,7 +72,7 @@ class QSeries:
         return QSeries(tuple(-c for c in self.coeffs), self.constant_known)
 
     def scale(self, c) -> "QSeries":
-        c = Fraction(c)
+        c = rational(c)
         return QSeries(tuple(c * x for x in self.coeffs), self.constant_known)
 
     def __mul__(self, other):

@@ -32,17 +32,16 @@ first-class results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, prod
 from operator import index
-from typing import Iterator, Sequence
 
 from .drcycle import dr_standard, dr3_recursive
 from .exact import bernoulli, double_factorial_odd, factorial
-from .report import CheckResult, failed, passed
+from .report import CheckResult, _Frozen, _set, failed, passed
 
 __all__ = [
     "DimensionError",
@@ -77,49 +76,47 @@ class DimensionError(ValueError):
     """Exponent list violates the dimension constraint sum(d) = g-2+n."""
 
 
-@dataclass(frozen=True)
-class SocleQuery:
+class SocleQuery(_Frozen):
     """A genus together with the cotangent-power exponents.
 
     Validates the dimension constraint at construction: the exponents of
     a non-vanishing socle pairing must satisfy sum(d) = g - 2 + n.
     """
 
-    g: int
-    d: tuple[int, ...]
+    __slots__ = ("g", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", index(self.g))
-        object.__setattr__(self, "d", tuple(map(index, self.d)))
-        if self.g < 1:
-            raise ValueError(f"genus must be >= 1, got {self.g}")
-        if not self.d:
+    def __init__(self, g: int, d: Sequence[int]):
+        g, d = index(g), tuple(map(index, d))
+        if g < 1:
+            raise ValueError(f"genus must be >= 1, got {g}")
+        if not d:
             raise ValueError("need at least one marked point")
-        if any(x < 0 for x in self.d):
-            raise ValueError(f"exponents must be >= 0, got {self.d}")
-        total, expect = sum(self.d), self.g - 2 + len(self.d)
+        if any(x < 0 for x in d):
+            raise ValueError(f"exponents must be >= 0, got {d}")
+        total, expect = sum(d), g - 2 + len(d)
         if total != expect:
             raise DimensionError(
-                f"sum(d) = {total} but g-2+n = {expect} for g={self.g}, "
-                f"n={len(self.d)}"
+                f"sum(d) = {total} but g-2+n = {expect} for g={g}, n={len(d)}"
             )
+        _set(self, "g", g)
+        _set(self, "d", d)
 
     @property
     def n(self) -> int:
         return len(self.d)
 
 
-@dataclass(frozen=True)
-class Wheel:
+class Wheel(_Frozen):
     """Oriented necklace: vertices 1..m in the cyclic order given by
     `cycle` (vertex 1 anchored first), with a genus per vertex index."""
 
-    cycle: tuple[int, ...]
-    genera: tuple[int, ...]
+    __slots__ = ("cycle", "genera")
 
-    def __post_init__(self):
-        _check_cycle(self.cycle)
-        _check_genera(self.genera, len(self.cycle))
+    def __init__(self, cycle: tuple[int, ...], genera: tuple[int, ...]):
+        _check_cycle(cycle)
+        _check_genera(genera, len(cycle))
+        _set(self, "cycle", cycle)
+        _set(self, "genera", genera)
 
 
 def _check_cycle(cycle: tuple[int, ...]) -> None:
@@ -136,8 +133,8 @@ def _check_genera(genera: tuple[int, ...], m: int) -> None:
 def _prechecked_wheel(cycle: tuple[int, ...], genera: tuple[int, ...]) -> Wheel:
     # a Wheel whose cycle and genera the caller has already checked
     wheel = object.__new__(Wheel)
-    object.__setattr__(wheel, "cycle", cycle)
-    object.__setattr__(wheel, "genera", genera)
+    _set(wheel, "cycle", cycle)
+    _set(wheel, "genera", genera)
     return wheel
 
 
@@ -304,10 +301,12 @@ def socle_necklace(q: SocleQuery) -> Fraction:
     return _necklace_value(q.g, _canonical(q.d))
 
 
-@dataclass(frozen=True)
-class SocleResult:
-    faber_value: Fraction | None
-    necklace_value: Fraction | None
+class SocleResult(_Frozen):
+    __slots__ = ("faber_value", "necklace_value")
+
+    def __init__(self, faber_value: Fraction | None, necklace_value: Fraction | None):
+        _set(self, "faber_value", faber_value)
+        _set(self, "necklace_value", necklace_value)
 
     @property
     def agree(self) -> bool | None:

@@ -7,6 +7,7 @@ from soclecalc.exact import (
     double_factorial_odd,
     factorial,
     format_rational,
+    rational,
 )
 
 
@@ -68,3 +69,14 @@ def test_rational_serialization_round_trip():
     assert format_rational(5) == "5/1"
     for s in ["7/3", "-1/24", "0/1", "12/1"]:
         assert format_rational(Fraction(s)) == s
+
+
+def test_only_ints_and_fractions_are_rational():
+    half = Fraction(1, 2)
+    assert rational(half) is half
+    assert rational(-3) == -3 and type(rational(-3)) is Fraction
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            rational(bad)
+        with pytest.raises(TypeError):
+            format_rational(bad)

@@ -12,6 +12,7 @@ from soclecalc.modfit import (
     QuasimodularPoly,
     basis,
     evaluate,
+    evaluate_with_top,
     fit,
     graded_part,
     monomial_weight,
@@ -176,6 +177,15 @@ def test_non_integer_exponents_are_rejected():
         QuasimodularPoly([(("1", 0, 0), 1)])
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2"])
+def test_coefficients_must_be_ints_or_fractions(bad):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        QuasimodularPoly({(1, 0, 0): bad})
+    with pytest.raises(TypeError):
+        QuasimodularPoly([((0, 1, 0), 1), ((1, 0, 0), bad)])
+
+
 def test_graded_part():
     p = QuasimodularPoly({(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)})
     assert graded_part(p, 4) == p
@@ -196,6 +206,22 @@ def test_graded_decomposition_sums_back():
             t for w in range(0, 11, 2) for t in graded_part(p, w).terms.items()
         )
         assert total == p
+
+
+def test_evaluate_with_top_is_both_evaluations():
+    rng = random.Random(12)
+    monos = basis(10)
+    for _ in range(6):
+        p = QuasimodularPoly(
+            {m: Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+             for m in rng.sample(monos, k=6)}
+        )
+        for w in (0, 6, 10, 12):
+            full, top = evaluate_with_top(p, w, 15)
+            assert full == evaluate(p, 15)
+            assert top == evaluate(graded_part(p, w), 15)
+    with pytest.raises(ValueError):
+        evaluate_with_top(p, 10, -1)
 
 
 # ------------------------------------------------------------------

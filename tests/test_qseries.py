@@ -107,3 +107,16 @@ def test_coefficients_are_fractions_and_fractions_are_kept():
     assert s.coeffs == (1, half, 3)
     assert all(type(c) is Fraction for c in s.coeffs)
     assert s.coeffs[1] is half
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2"])
+def test_coefficients_must_be_ints_or_fractions(bad):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        QSeries((bad,))
+    with pytest.raises(TypeError):
+        QSeries((1, bad), constant_known=False)
+    with pytest.raises(TypeError):
+        QSeries.constant(bad, 2)
+    with pytest.raises(TypeError):
+        QSeries((1, 2)).scale(bad)
