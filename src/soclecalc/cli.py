@@ -15,6 +15,7 @@ import io
 import json
 import random
 import sys
+from collections.abc import Iterator
 
 from .drcycle import dr3_bssz_check, dr3_closed, dr3_recursive, dr_standard
 from .elliptic import (
@@ -106,7 +107,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--q-order", type=_at_least(1), default=20)
     p_verify.add_argument("--w-order", type=_at_least(1), default=8)
     p_verify.add_argument("--g-max", type=_at_least(1), default=6)
-    p_verify.add_argument("--m-max", type=_at_least(1), default=4)
+    p_verify.add_argument("--m-max", type=_at_least(1), default=6)
     p_verify.add_argument("--g", type=_at_least(1), help="restrict to one genus")
     p_verify.add_argument(
         "--m", type=_at_least(1), help="restrict to one edge count"
@@ -157,29 +158,26 @@ def suite_dr(g_max: int) -> list[CheckResult]:
     return checks
 
 
-def suite_string(g_max: int) -> list[CheckResult]:
-    # all-positive d with sum(d) = g-1+n, the domain where the appended
-    # query is canonical and the consistency identity is a theorem; n <= 5
-    # is fixed, and benchmarks/workloads.py derives its expected counts
-    # from that range
-    checks = []
+def _positive_lists(g_max: int, n_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    # (g, d) with g <= g_max and d all-positive, n <= n_max parts and
+    # sum(d) = g-1+n: the domain where the zero-appended query is canonical
     for g in range(1, g_max + 1):
-        for n in range(1, 6):
+        for n in range(1, n_max + 1):
             for c in compositions(g - 1, n):
-                d = tuple(x + 1 for x in c)
-                checks.append(verify_string_consistency(g, d))
-    return checks
+                yield g, tuple(x + 1 for x in c)
+
+
+def suite_string(g_max: int) -> list[CheckResult]:
+    # the consistency identity is a theorem on _positive_lists; n <= 5 is
+    # fixed, and benchmarks/workloads.py derives its expected counts from
+    # that range
+    return [verify_string_consistency(g, d) for g, d in _positive_lists(g_max, 5)]
 
 
 def suite_relation(
     g_max: int, m_max: int, samples: int, seed: int
 ) -> list[CheckResult]:
-    checks = []
-    for g in range(1, g_max + 1):
-        for m in range(1, m_max + 1):
-            for c in compositions(g - 1, m):
-                d = tuple(x + 1 for x in c)
-                checks.append(relation_integral_check(g, d))
+    checks = [relation_integral_check(g, d) for g, d in _positive_lists(g_max, m_max)]
     rng = random.Random(seed)
     for _ in range(samples):
         g = rng.randint(1, 6)

@@ -191,7 +191,7 @@ def _top_weight_target(g: int, m: int, q_order: int) -> QSeries:
 
 
 # the heaviest top weight that top_weight_check fits, not builds: every
-# top-weight check of the default `verify all` (g <= 3, m <= 4) has
+# top-weight check of the benchmark's `verify all` (g <= 3, m <= 4) has
 # weight <= 12, and benchmarks/selftest.py counts its 30 fits
 _FIT_MAX_WEIGHT = 12
 

@@ -124,8 +124,9 @@ def test_verify_relation_runs_requested_genus(capsys):
     assert code == 0
     ids = [c["id"] for c in json.loads(out)["checks"]]
     relation = [i for i in ids if i.startswith("socle.relation_integral[")]
-    # positive d of length m <= 4 with sum(d) = g-1+m, for g <= 6
-    assert len(relation) == 209
+    # positive d of length m <= 6 (the default --m-max) with
+    # sum(d) = g-1+m, for g <= 6
+    assert len(relation) == 923
     assert "socle.relation_integral[g=6,d=6]" in relation
 
 
@@ -228,7 +229,7 @@ def test_environment_does_not_change_a_run(capsys, monkeypatch):
     monkeypatch.setenv("SOCLECALC_FORMAT", "xml")
     assert run(capsys, "verify", "all", "--format", "json") == plain
     assert plain[0] == 0
-    assert len(json.loads(plain[1])["checks"]) == 1587
+    assert len(json.loads(plain[1])["checks"]) == 2367
     code, _, err = run(capsys, "table", "dr", "--g-max", "0", "--a-max", "0")
     assert (code, err) == (0, "")
 

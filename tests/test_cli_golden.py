@@ -14,14 +14,23 @@ pins every count, status and id they checked.  The last three pin the
 exact values of `dr3_closed`, `dr3_recursive` and `faber` at larger
 sizes than the rows above: the three-point table and the dr suite at
 g <= 12, and the socle table at g, n <= 10.  The fixed runs
-kept out of this table are `verify topweight --g-max 10 --m-max 10`
-(550 checks), `verify topweight --g-max 12 --m-max 12` (936 checks,
-past the sizes that fit could solve; its checks above weight 12
-evaluate the built polynomial) and
+kept out of this table are `verify topweight --g-max 12 --m-max 12`
+(936 checks, past the sizes that fit could solve; its checks above
+weight 12 evaluate the built polynomial) and
 `table socle --g-max 14 --n-max 14 --format csv`, too slow for Tier-1,
-which CI pins by their exit status and sha256.  The top-weight row
-here and the g, m <= 10 digest were kept byte for byte when the checks
-above weight 12 stopped fitting.
+which CI pins by their exit status and sha256.  The 936 checks include
+the 550 of `verify topweight --g-max 10 --m-max 10`, each with the same
+id, status and witness, so that run is no longer pinned on its own.
+The top-weight row here was kept byte for byte when the checks above
+weight 12 stopped fitting.
+
+When the default `--m-max` of `verify` went from 4 to 6, the two rows
+that ran at the default (`verify all --format json` and
+`verify relation --g-max 5 --format csv`) took the digests of the new
+default, recorded as the same commands with `--m-max 6` at the commit
+before.  The last two rows keep the old digests by passing `--m-max 4`:
+the JSON `config` echoes effective values, so those bytes are the ones
+the old default printed.
 
 The seven JSON `verify` rows were re-recorded when the JSON `config`
 stopped echoing every flag and began listing only the flags its suites
@@ -52,7 +61,7 @@ GOLDEN = [
     (
         "verify relation --g-max 5 --format csv",
         0,
-        "894be7ea0a12489962e4c466ee2bfb66e5474b951949fcdfee75b3f5485012ba",
+        "3bd17cd4077363887cbe3a5f41b7f2eb87b8c113b1f304a13198a49afdf2b4e2",
     ),
     (
         "verify dr --g-max 6 --format json",
@@ -97,7 +106,7 @@ GOLDEN = [
     (
         "verify all --format json",
         0,
-        "e48119808cbe3d403f44c03227dceebcc398171f12dc674d0df3eeff58c27136",
+        "66eb6eaaab773620a2e0f542d8dbd19dd0326bdaade91c03a24c24d587f2a3b2",
     ),
     (
         "verify relation --g-max 6 --m-max 5 --samples 500 --seed 3 --format json",
@@ -123,6 +132,16 @@ GOLDEN = [
         "table socle --g-max 10 --n-max 10 --format csv",
         0,
         "833c7c7f26652c927024b91a48f6bc4e40e8ad1377bf067ad958204ff98103b9",
+    ),
+    (
+        "verify all --m-max 4 --format json",
+        0,
+        "e48119808cbe3d403f44c03227dceebcc398171f12dc674d0df3eeff58c27136",
+    ),
+    (
+        "verify relation --g-max 5 --m-max 4 --format csv",
+        0,
+        "894be7ea0a12489962e4c466ee2bfb66e5474b951949fcdfee75b3f5485012ba",
     ),
 ]
 

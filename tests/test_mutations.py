@@ -24,7 +24,9 @@ import pytest
 
 from soclecalc import cli, drcycle, elliptic, exact, modfit, qseries, socle
 from soclecalc.elliptic import top_weight_check
+from soclecalc.elliptic import check_propagator_identity
 from soclecalc.modfit import QuasimodularPoly, basis
+from soclecalc.qseries import QSeries, divisor_sigmas
 from soclecalc.socle import (
     relation_integral_check,
     verify_string_consistency,
@@ -84,6 +86,43 @@ def _doubled_g8(honest):
     return doubled
 
 
+def _drops_last_of_several(honest):
+    # a string step that loses its last reduction whenever it has more
+    # than one; a one-slot list keeps its single reduction
+    def dropped(d):
+        out = honest(d)
+        return out[:-1] if len(out) > 1 else out
+
+    return dropped
+
+
+def _string_and_relation_with_several_slots():
+    # every string and relation check of g <= 3 (n <= 5, m <= 4) whose
+    # list has at least two slots, so its string step has several branches
+    lists = [(g, d) for g, d in cli._positive_lists(3, 5) if len(d) > 1]
+    return [verify_string_consistency(g, d) for g, d in lists] + [
+        relation_integral_check(g, d) for g, d in lists if len(d) <= 4
+    ]
+
+
+def _extra_power_of_n(honest):
+    # 2 n^m sigma_(2g-1)(n) / (m-1)! in place of 2 n^(m-1) sigma_(2g-1)(n) / (m-1)!
+    def target(g, m, q_order):
+        c = honest(g, m, q_order).coeffs
+        return QSeries((c[0],) + tuple(n * c[n] for n in range(1, q_order + 1)))
+
+    return target
+
+
+def _divisor_power_k(honest):
+    # G_k with sigma_k(n) beyond q^0 in place of sigma_(k-1)(n)
+    def series(k, order):
+        constant = honest(k, order).coeffs[0]
+        return QSeries((constant,) + tuple(map(Fraction, divisor_sigmas(k, order))))
+
+    return series
+
+
 def _top_weight_g4_m4():
     q_order = len(basis(14)) + 5
     return [top_weight_check(4, j_plus, 4 - j_plus, q_order) for j_plus in (4, 2)]
@@ -126,6 +165,27 @@ KERNEL_ROWS = {
         lambda honest: lambda g, m: 2 * honest(g, m),
         lambda: cli.suite_relation(3, 4, 0, 0),
         "socle.relation_integral", "rhs",
+    ),
+    # 52 string checks and 31 relation checks: each sums the closed
+    # formula over one string step, which misses a reduction
+    "string_apply drops its last branch": (
+        socle, "string_apply", _drops_last_of_several,
+        _string_and_relation_with_several_slots,
+        {"socle.string_consistency", "socle.relation_integral"}, "rhs",
+    ),
+    # all 40 top-weight checks of g, m <= 4
+    "top-weight target n^m": (
+        elliptic, "_top_weight_target", _extra_power_of_n,
+        lambda: cli.suite_topweight(4, 4, None, None),
+        "elliptic.top_weight", "q_power",
+    ),
+    # the shifted Weierstrass rows read G_(e+2), first wrong at q^2;
+    # check_divisor_power_k_fails rebuilds its rows with the same powers,
+    # so it still passes
+    "eisenstein divisor power k": (
+        qseries, "eisenstein", _divisor_power_k,
+        lambda: [check_propagator_identity(8, 8)],
+        "elliptic.propagator_identity", "q_power",
     ),
 }
 

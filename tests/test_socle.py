@@ -52,14 +52,6 @@ def test_faber_frozen_values(g, d, value):
     assert faber(SocleQuery(g, d)) == value
 
 
-def test_wheel_validation():
-    Wheel((1, 3, 2), (0, 1, 0))
-    with pytest.raises(ValueError):
-        Wheel((2, 1), (0, 0))
-    with pytest.raises(ValueError):
-        Wheel((1, 2), (0,))
-
-
 def test_wheels_enumerate_counts():
     w30 = list(iter_wheels(3, 0))
     assert len(w30) == 2
@@ -139,6 +131,10 @@ def test_string_apply_mechanics():
         string_apply((0,))
     with pytest.raises(ValueError):
         string_apply((0, 0))
+    # a negative exponent is refused, not dropped or decremented past
+    for d in ((-1, 0), (2, -1, 0)):
+        with pytest.raises(ValueError, match="exponents must be >= 0"):
+            string_apply(d)
 
 
 def test_socle_compute_agreement_anchors():
@@ -419,27 +415,6 @@ def test_non_integer_exponents_are_rejected(call):
     # parse "0"; an exponent or a genus must be an integer
     with pytest.raises(TypeError):
         call()
-
-
-def test_wheel_checks_run_once_per_cycle_and_per_split(monkeypatch):
-    calls = Counter()
-    for name in ("_check_cycle", "_check_genera"):
-        check = getattr(socle, name)
-
-        def counted(*args, name=name, check=check):
-            calls[name] += 1
-            return check(*args)
-
-        monkeypatch.setattr(socle, name, counted)
-    wheels = list(iter_wheels(4, 2))
-    assert len(wheels) == 6 * 10
-    assert calls == {"_check_cycle": 6, "_check_genera": 10}
-    assert wheels == [Wheel(w.cycle, w.genera) for w in wheels]
-
-    # a bad split is still refused, before the first wheel is yielded
-    monkeypatch.setattr(socle, "compositions", lambda total, parts: iter([(2, -1)]))
-    with pytest.raises(ValueError):
-        next(iter_wheels(2, 1))
 
 
 # --- the Fraction chains that faber and _necklace_normalization replaced
