@@ -10,7 +10,6 @@ parsing are ValueErrors, which main reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import random
@@ -267,6 +266,8 @@ def _rows_to_output(header, rows, fmt: str) -> str:
             [dict(zip(header, jsonable(list(r)))) for r in rows], indent=2
         )
     if fmt == "csv":
+        import csv  # here, not at import: most runs write no csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)

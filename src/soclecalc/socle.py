@@ -12,6 +12,19 @@ exponent.  The necklace path uses only ramification-cycle data, never
 faber().  Socle values are symmetric in d, so the string recursion is
 memoized on the exponent list sorted in non-increasing order.
 
+The recursion works in integers.  With s = g-2+n, every socle value of
+genus g on n points is an integer over the level denominator
+
+    L(g, n) = 2 (2g)! den(B_2g) 4^(g-1) (2s-1)!!,
+
+because on a list with at most one zero, value * L(g, n) equals
++-num(B_2g) ((s+g-1)!/s!) multinomial(2s; 2d) prod(d_i!), and the string
+equation carries integrality to the multi-zero lists.  Since
+L(g, n) = (2s-1) L(g, n-1), a string step multiplies the sum of its
+branch numerators by 2s-1 and the lift divides by 2s+1; every division
+checks its remainder and raises ArithmeticError on one.  socle_necklace
+builds one Fraction per query from its numerator over L(g, n).
+
 The literal oriented-wheel sum (iter_wheels) is kept only as the oracle
 for the collapse identity: wheel_collapse_check compares it with
 necklace_lhs, and nothing on the evaluation path enumerates wheels.  The
@@ -66,9 +79,10 @@ __all__ = [
 # 0.4-0.5 microseconds per wheel (Python 3.11, 2 vCPUs), about 0.05 s
 _MAX_WHEELS = 100_000
 
-# most zero exponents socle_necklace takes: the string recursion is
-# about 3 Python frames deep per zero, and 324 zeros exhaust the default
-# recursion limit of 1000
+# most zero exponents socle_necklace takes: the string recursion takes
+# about 3 levels of the default recursion limit of 1000 per zero (two
+# Python frames and the memo's call), and (z, 0^z) at g=1 first raises
+# RecursionError at z = 332 (Python 3.11)
 _MAX_ZEROS = 200
 
 
@@ -157,6 +171,17 @@ def faber(q: SocleQuery) -> Fraction:
     return Fraction((-1) ** (g - 1) * b.numerator * factorial(2 * g - 3 + n), den)
 
 
+def _dr_product(d: tuple[int, ...]) -> tuple[int, int]:
+    # prod(dr_standard(x - 1) for x in d) as an integer numerator and
+    # denominator, neither reduced
+    num = den = 1
+    for x in d:
+        v = dr_standard(x - 1)
+        num *= v.numerator
+        den *= v.denominator
+    return num, den
+
+
 def necklace_lhs(g: int, d: Sequence[int]) -> Fraction:
     """The wheel sum of a canonical query's positive exponents, evaluated
     in collapsed form as prod(dr_standard(d_i - 1)).
@@ -177,7 +202,7 @@ def necklace_lhs(g: int, d: Sequence[int]) -> Fraction:
         raise DimensionError(
             f"sum(d_i - 1) = {sum(x - 1 for x in d)} but g-1 = {g - 1}"
         )
-    return prod((dr_standard(x - 1) for x in d), start=Fraction(1))
+    return Fraction(*_dr_product(d))
 
 
 def _literal_wheel_sum(g: int, d: tuple[int, ...]) -> Fraction:
@@ -221,15 +246,18 @@ def string_apply(d: Sequence[int]) -> list[tuple[int, ...]]:
         raise ValueError(f"exponents must be >= 0, got {d}")
     if 0 not in d:
         raise ValueError("string reduction needs a zero exponent")
+    if not any(d):
+        raise ValueError(f"no positive exponent to decrement in {d}")
+    return _string_step(d)
+
+
+def _string_step(d: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # string_apply without its checks: d holds a zero and a positive entry
     last_zero = len(d) - 1 - d[::-1].index(0)
     rest = d[:last_zero] + d[last_zero + 1 :]
-    if all(x == 0 for x in rest):
-        raise ValueError(f"no positive exponent to decrement in {d}")
-    out = []
-    for j, x in enumerate(rest):
-        if x >= 1:
-            out.append(rest[:j] + (x - 1,) + rest[j + 1 :])
-    return out
+    return [
+        rest[:j] + (x - 1,) + rest[j + 1 :] for j, x in enumerate(rest) if x >= 1
+    ]
 
 
 def _canonical(d: Sequence[int]) -> tuple[int, ...]:
@@ -237,31 +265,59 @@ def _canonical(d: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(d, reverse=True))
 
 
+def _exact_quotient(num: int, den: int) -> int:
+    # num / den, which the level denominators make an integer
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{num}/{den} is not an integer")
+    return q
+
+
 @lru_cache(maxsize=None)
-def _necklace_value(g: int, d: tuple[int, ...]) -> Fraction:
-    # d is canonical (non-increasing): d[0] is a largest exponent
+def _level_denominator(g: int, n: int) -> int:
+    # L(g, n) = 2 (2g)! den(B_2g) 4^(g-1) (2s-1)!! with s = g-2+n; see the
+    # module docstring
+    s = g - 2 + n
+    return (
+        2 * factorial(2 * g) * bernoulli(2 * g).denominator * 4 ** (g - 1)
+        * double_factorial_odd(2 * s - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _necklace_numerator(g: int, d: tuple[int, ...]) -> int:
+    # the socle value of canonical (non-increasing) d times
+    # _level_denominator(g, len(d)); d[0] is a largest exponent
     zeros = d.count(0)
     if d == (0,):
-        # only valid at g=1; canonicalize through the identity query
-        return _necklace_value(1, (1, 0))
+        # only valid at g=1; canonicalize through the identity query,
+        # whose level denominator L(1, 2) equals L(1, 1)
+        return _necklace_numerator(1, (1, 0))
+    n = len(d)
     if zeros == 1:
-        # the zero is last; necklace_lhs validates the positive exponents
-        return _necklace_normalization(g, len(d) - 1) * necklace_lhs(g, d[:-1])
+        # the zero is last: the normalization times the wheel sum of the
+        # positive exponents, necklace_lhs's integer product
+        c = _necklace_normalization(g, n - 1)
+        num, den = _dr_product(d[:-1])
+        return _exact_quotient(
+            c.numerator * num * _level_denominator(g, n), c.denominator * den
+        )
+    s = g - 2 + n
     if zeros == 0:
         # lift: bump the largest exponent, append a zero; the lifted
         # canonical query string-reduces to this query (its first
         # reduction) plus sibling branches, each strictly more
-        # concentrated (sum d_i^2 grows), so the recursion terminates
+        # concentrated (sum d_i^2 grows), so the recursion terminates;
+        # L(g, n+1) = (2s+1) L(g, n)
         lifted = (d[0] + 1,) + d[1:] + (0,)
-        _, *branches = string_apply(lifted)
-        value = _necklace_value(g, lifted)
-        for branch in branches:
-            value -= _necklace_value(g, _canonical(branch))
-        return value
-    # two or more zeros: keep applying the string equation
-    return sum(
-        (_necklace_value(g, _canonical(rd)) for rd in string_apply(d)),
-        Fraction(0),
+        _, *branches = _string_step(lifted)
+        return _exact_quotient(_necklace_numerator(g, lifted), 2 * s + 1) - sum(
+            _necklace_numerator(g, _canonical(branch)) for branch in branches
+        )
+    # two or more zeros: keep applying the string equation, with
+    # L(g, n) = (2s-1) L(g, n-1)
+    return (2 * s - 1) * sum(
+        _necklace_numerator(g, _canonical(rd)) for rd in _string_step(d)
     )
 
 
@@ -269,14 +325,17 @@ def socle_necklace(q: SocleQuery) -> Fraction:
     """String-consistent evaluation through the necklace path.
 
     Raises ValueError, before any recursion, on more than _MAX_ZEROS
-    zero exponents."""
+    zero exponents.  The recursion sums integer numerators over the
+    level denominators and builds one Fraction per query."""
     zeros = q.d.count(0)
     if zeros > _MAX_ZEROS:
         raise ValueError(
             f"the necklace path takes at most {_MAX_ZEROS} zero exponents, "
             f"got {zeros}"
         )
-    return _necklace_value(q.g, _canonical(q.d))
+    return Fraction(
+        _necklace_numerator(q.g, _canonical(q.d)), _level_denominator(q.g, q.n)
+    )
 
 
 class SocleResult(_Frozen):

@@ -57,7 +57,7 @@ def _faber_string_reference(g, d):
     together: while d has two or more zeros, drop one zero and sum over
     the lists with one positive slot decremented; at most one zero is
     Faber's domain, where the closed formula gives the value.  Shares no
-    code with the necklace path (no string_apply, no _necklace_value)."""
+    code with the necklace path (no string_apply, no _necklace_numerator)."""
     if d.count(0) <= 1:
         return faber(SocleQuery(g, d))
     rest = list(d)

@@ -43,7 +43,8 @@ MEMOS = (
     modfit._derivative,
     drcycle._dr3_rec,
     drcycle.dr_standard,
-    socle._necklace_value,
+    socle._level_denominator,
+    socle._necklace_numerator,
 )
 
 

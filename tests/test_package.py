@@ -1,7 +1,8 @@
 """The package exports every layer's public names, and only those: each
 module's __all__ is the one list of its public names.  Importing it
-loads neither dataclasses nor typing, and its value types behave as the
-frozen dataclasses they replace."""
+loads neither dataclasses nor typing (nor csv, which only csv output
+needs), and its value types behave as the frozen dataclasses they
+replace."""
 
 import copy
 import importlib
@@ -56,7 +57,7 @@ def test_import_loads_neither_dataclasses_nor_typing():
         "import soclecalc, soclecalc.cli; "
         "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
     )
-    heavy = ["dataclasses", "inspect", "typing"]
+    heavy = ["csv", "dataclasses", "inspect", "typing"]
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, src, *heavy],
         capture_output=True, text=True, check=True,

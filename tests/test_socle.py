@@ -343,13 +343,13 @@ def test_necklace_normalization_is_shared(monkeypatch):
     monkeypatch.setattr(
         socle, "_necklace_normalization", lambda g, m: 2 * normalization(g, m)
     )
-    socle._necklace_value.cache_clear()
+    socle._necklace_numerator.cache_clear()
     try:
         res = relation_integral_check(3, (2, 2))
         q = SocleQuery(3, (2, 2, 0))
         value = socle_necklace(q)
     finally:
-        socle._necklace_value.cache_clear()
+        socle._necklace_numerator.cache_clear()
     lhs = necklace_lhs(3, (2, 2))
     assert not res.ok
     assert res.witness == {"lhs": lhs, "rhs": lhs / 2}
@@ -371,7 +371,7 @@ def test_evaluation_path_builds_no_wheels(monkeypatch):
         raise AssertionError("the evaluation path enumerated wheels")
 
     monkeypatch.setattr(socle, "iter_wheels", raising)
-    socle._necklace_value.cache_clear()
+    socle._necklace_numerator.cache_clear()
     assert [socle_compute(q, "necklace").value for q in queries] == values
     assert [relation_integral_check(g, d) for g, d in relations] == checks
     assert all(c.ok for c in checks)
@@ -454,3 +454,77 @@ def test_integer_kernels_match_the_fraction_chains():
             assert socle._necklace_normalization(g, m) == (
                 _fraction_chain_normalization(g, m)
             )
+
+
+# --- the Fraction recursion that _necklace_numerator replaced by integer
+# numerators over the level denominators
+
+
+def _fraction_recursion(g, d, memo):
+    # d canonical; the string recursion with a Fraction at every step
+    if (g, d) in memo:
+        return memo[g, d]
+    zeros = d.count(0)
+    if d == (0,):
+        value = _fraction_recursion(1, (1, 0), memo)
+    elif zeros == 1:
+        value = socle._necklace_normalization(g, len(d) - 1) * necklace_lhs(g, d[:-1])
+    elif zeros == 0:
+        lifted = (d[0] + 1,) + d[1:] + (0,)
+        _, *branches = string_apply(lifted)
+        value = _fraction_recursion(g, lifted, memo)
+        for branch in branches:
+            value -= _fraction_recursion(g, tuple(sorted(branch, reverse=True)), memo)
+    else:
+        value = sum(
+            (
+                _fraction_recursion(g, tuple(sorted(rd, reverse=True)), memo)
+                for rd in string_apply(d)
+            ),
+            Fraction(0),
+        )
+    memo[g, d] = value
+    return value
+
+
+def test_integer_recursion_matches_the_fraction_recursion():
+    # every canonical list of g, n <= 8: zero-free lists (the lift), one
+    # zero and several zeros
+    queries = list(iter_socle_queries(8, 8))
+    shapes = Counter(min(q.d.count(0), 2) for q in queries)
+    assert shapes[0] and shapes[1] and shapes[2]
+    memo = {}
+    for q in queries:
+        assert socle_necklace(q) == _fraction_recursion(q.g, q.d, memo), q
+
+
+@pytest.mark.parametrize("g,d", [(3, (2, 2, 0)), (3, (2, 1)), (2, (2, 2, 0, 0))])
+def test_inexact_level_division_raises(monkeypatch, g, d):
+    # a prime that divides no level denominator of these genera, in the
+    # normalization's denominator: each division checks its remainder
+    # instead of truncating to a wrong value
+    normalization = socle._necklace_normalization
+    monkeypatch.setattr(
+        socle, "_necklace_normalization", lambda g, m: normalization(g, m) / 1_000_003
+    )
+    socle._necklace_numerator.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="is not an integer"):
+            socle_necklace(SocleQuery(g, d))
+    finally:
+        socle._necklace_numerator.cache_clear()
+
+
+def test_recursion_does_no_fraction_arithmetic(monkeypatch):
+    queries = list(iter_socle_queries(6, 6))
+    values = [socle_necklace(q) for q in queries]
+
+    def refused(*args):
+        raise AssertionError("Fraction arithmetic in the string recursion")
+
+    socle._necklace_numerator.cache_clear()
+    dr_standard.cache_clear()
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, op, refused)
+    assert [socle_necklace(q) for q in queries] == values
