@@ -12,18 +12,17 @@ exponent.  The necklace path uses only ramification-cycle data, never
 faber().  Socle values are symmetric in d, so the string recursion is
 memoized on the exponent list sorted in non-increasing order.
 
-The recursion works in integers.  With s = g-2+n, every socle value of
-genus g on n points is an integer over the level denominator
-
-    L(g, n) = 2 (2g)! den(B_2g) 4^(g-1) (2s-1)!!,
-
-because on a list with at most one zero, value * L(g, n) equals
-+-num(B_2g) ((s+g-1)!/s!) multinomial(2s; 2d) prod(d_i!), and the string
-equation carries integrality to the multi-zero lists.  Since
-L(g, n) = (2s-1) L(g, n-1), a string step multiplies the sum of its
-branch numerators by 2s-1 and the lift divides by 2s+1; every division
-checks its remainder and raises ArithmeticError on one.  socle_necklace
-builds one Fraction per query from its numerator over L(g, n).
+The recursion works in integers.  With s = g-2+n and c(g, m) =
+_necklace_normalization(g, m), it keeps the socle value of a list of
+genus g on n points over c(g, n-1), times the level denominator
+L(g, n) = 4^(g-1) (2s-1)!! (2g-3+n)!.  On a one-zero list the quotient
+value / c(g, n-1) is the wheel sum, so the numerator is the wheel sum
+times L(g, n); on every list with at most one zero it is the integer
+((s+g-1)!/s!) multinomial(2s; 2d) prod(d_i!), and the string equation
+carries integrality to the multi-zero lists.  Scaled so, a string step multiplies the sum of its branch numerators by 2s-1
+and the lift divides by 2s+1; every division checks its remainder and
+raises ArithmeticError on one.  No Bernoulli number enters the
+recursion: socle_necklace applies c(g, n-1) once per query.
 
 The literal oriented-wheel sum (iter_wheels) is kept only as the oracle
 for the collapse identity: wheel_collapse_check compares it with
@@ -219,6 +218,7 @@ def _literal_wheel_sum(g: int, d: tuple[int, ...]) -> Fraction:
     return total / factorial(len(d) - 1)
 
 
+@lru_cache(maxsize=None)
 def _necklace_normalization(g: int, m: int) -> Fraction:
     """(-1)^(g-1) B_2g (2g-2+m)! / (2 (2g)!): the socle value of a
     canonical query with m positive exponents over its wheel sum.
@@ -275,47 +275,37 @@ def _exact_quotient(num: int, den: int) -> int:
 
 @lru_cache(maxsize=None)
 def _level_denominator(g: int, n: int) -> int:
-    # L(g, n) = 2 (2g)! den(B_2g) 4^(g-1) (2s-1)!! with s = g-2+n; see the
-    # module docstring
+    # L(g, n) = 4^(g-1) (2s-1)!! (2g-3+n)! with s = g-2+n; see the module
+    # docstring
     s = g - 2 + n
-    return (
-        2 * factorial(2 * g) * bernoulli(2 * g).denominator * 4 ** (g - 1)
-        * double_factorial_odd(2 * s - 1)
-    )
+    return 4 ** (g - 1) * double_factorial_odd(2 * s - 1) * factorial(2 * g - 3 + n)
 
 
 @lru_cache(maxsize=None)
 def _necklace_numerator(g: int, d: tuple[int, ...]) -> int:
-    # the socle value of canonical (non-increasing) d times
-    # _level_denominator(g, len(d)); d[0] is a largest exponent
+    # the socle value of canonical (non-increasing) d over c(g, n-1),
+    # times L(g, n), n = len(d); d[0] is a largest exponent
     zeros = d.count(0)
-    if d == (0,):
-        # only valid at g=1; canonicalize through the identity query,
-        # whose level denominator L(1, 2) equals L(1, 1)
-        return _necklace_numerator(1, (1, 0))
     n = len(d)
     if zeros == 1:
-        # the zero is last: the normalization times the wheel sum of the
-        # positive exponents, necklace_lhs's integer product
-        c = _necklace_normalization(g, n - 1)
+        # the zero is last: the wheel sum of the positive exponents,
+        # necklace_lhs's integer product (1 for d = (0,))
         num, den = _dr_product(d[:-1])
-        return _exact_quotient(
-            c.numerator * num * _level_denominator(g, n), c.denominator * den
-        )
+        return _exact_quotient(num * _level_denominator(g, n), den)
     s = g - 2 + n
     if zeros == 0:
         # lift: bump the largest exponent, append a zero; the lifted
         # canonical query string-reduces to this query (its first
         # reduction) plus sibling branches, each strictly more
         # concentrated (sum d_i^2 grows), so the recursion terminates;
-        # L(g, n+1) = (2s+1) L(g, n)
+        # the lifted numerator carries one more factor 2s+1
         lifted = (d[0] + 1,) + d[1:] + (0,)
         _, *branches = _string_step(lifted)
         return _exact_quotient(_necklace_numerator(g, lifted), 2 * s + 1) - sum(
             _necklace_numerator(g, _canonical(branch)) for branch in branches
         )
-    # two or more zeros: keep applying the string equation, with
-    # L(g, n) = (2s-1) L(g, n-1)
+    # two or more zeros: keep applying the string equation, whose
+    # branches on n-1 points carry one factor 2s-1 less
     return (2 * s - 1) * sum(
         _necklace_numerator(g, _canonical(rd)) for rd in _string_step(d)
     )
@@ -326,15 +316,18 @@ def socle_necklace(q: SocleQuery) -> Fraction:
 
     Raises ValueError, before any recursion, on more than _MAX_ZEROS
     zero exponents.  The recursion sums integer numerators over the
-    level denominators and builds one Fraction per query."""
+    level denominators; the one Fraction built per query applies the
+    necklace normalization."""
     zeros = q.d.count(0)
     if zeros > _MAX_ZEROS:
         raise ValueError(
             f"the necklace path takes at most {_MAX_ZEROS} zero exponents, "
             f"got {zeros}"
         )
+    c = _necklace_normalization(q.g, q.n - 1)
     return Fraction(
-        _necklace_numerator(q.g, _canonical(q.d)), _level_denominator(q.g, q.n)
+        c.numerator * _necklace_numerator(q.g, _canonical(q.d)),
+        c.denominator * _level_denominator(q.g, q.n),
     )
 
 

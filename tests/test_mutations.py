@@ -43,6 +43,7 @@ MEMOS = (
     modfit._derivative,
     drcycle._dr3_rec,
     drcycle.dr_standard,
+    socle._necklace_normalization,
     socle._level_denominator,
     socle._necklace_numerator,
 )

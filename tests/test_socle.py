@@ -501,18 +501,58 @@ def test_integer_recursion_matches_the_fraction_recursion():
 @pytest.mark.parametrize("g,d", [(3, (2, 2, 0)), (3, (2, 1)), (2, (2, 2, 0, 0))])
 def test_inexact_level_division_raises(monkeypatch, g, d):
     # a prime that divides no level denominator of these genera, in the
-    # normalization's denominator: each division checks its remainder
-    # instead of truncating to a wrong value
-    normalization = socle._necklace_normalization
-    monkeypatch.setattr(
-        socle, "_necklace_normalization", lambda g, m: normalization(g, m) / 1_000_003
-    )
+    # denominator of every vertex integral: each division checks its
+    # remainder instead of truncating to a wrong value
+    monkeypatch.setattr(socle, "dr_standard", lambda k: dr_standard(k) / 1_000_003)
     socle._necklace_numerator.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="is not an integer"):
             socle_necklace(SocleQuery(g, d))
     finally:
         socle._necklace_numerator.cache_clear()
+
+
+def test_recursion_reads_no_bernoulli_number(monkeypatch):
+    # the necklace normalization, the one place B_2g enters the necklace
+    # path, is applied by socle_necklace alone: the integer numerators
+    # of every canonical list of g, n <= 8 come from wheel sums and the
+    # string equation
+    queries = list(iter_socle_queries(8, 8))
+    assert len(queries) == 1273
+    numerators = [socle._necklace_numerator(q.g, q.d) for q in queries]
+    memos = (
+        socle._necklace_numerator,
+        socle._level_denominator,
+        socle._necklace_normalization,
+    )
+
+    def refused(*args):
+        raise AssertionError("the string recursion read a Bernoulli number")
+
+    monkeypatch.setattr(socle, "bernoulli", refused)
+    monkeypatch.setattr(socle, "_necklace_normalization", refused)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        assert [socle._necklace_numerator(q.g, q.d) for q in queries] == numerators
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+
+
+def test_one_zero_numerator_closed_form():
+    # on a list with at most one zero the numerator is the positive
+    # integer ((s+g-1)!/s!) multinomial(2s; 2d) prod(d_i!), s = g-2+n
+    lists = [q for q in iter_socle_queries(10, 10) if q.d.count(0) <= 1]
+    assert len(lists) == 1144
+    for q in lists:
+        s = q.g - 2 + q.n
+        multinomial = factorial(2 * s) // prod(factorial(2 * x) for x in q.d)
+        expected = (
+            factorial(s + q.g - 1) // factorial(s) * multinomial
+            * prod(factorial(x) for x in q.d)
+        )
+        assert socle._necklace_numerator(q.g, q.d) == expected, q
 
 
 def test_recursion_does_no_fraction_arithmetic(monkeypatch):
