@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 from operator import add, index, mul
 
 from .exact import factorial, rational
@@ -261,27 +261,69 @@ def graded_part(p: QuasimodularPoly, weight: int) -> QuasimodularPoly:
     )
 
 
+def _apostol_terms(k: int) -> list[tuple[Fraction, int, int]]:
+    """The (x, w, k-w), w <= k-w, with G_k = sum x G_w G_(k-w), k >= 8
+    even: Apostol's recurrence (Modular Functions and Dirichlet Series,
+    Thm 1.13) for the Laurent coefficients c_n = 2 G_2n / (2n-2)! of
+    elliptic.weierstrass_expansion,
+        (2n+1)(n-3) c_n = 3 sum_{i=2}^{n-2} c_i c_(n-i),
+    solved for G_k, k = 2n, with the terms i and n-i taken together
+    (w = 2i).  The one home of the recurrence: _eisenstein_polynomial and
+    _eisenstein_constant both read it."""
+    # term i is 6 (k-2)! / ((k+1)(n-3) (2i-2)! (k-2i-2)!), one binomial
+    # since (2i-2) + (k-2i-2) = k-4; for i < n/2 it also stands for the
+    # equal term n-i, so it counts twice
+    n = k // 2
+    num, den = 6 * (k - 2) * (k - 3), (k + 1) * (n - 3)
+    terms = []
+    for i in range(2, n // 2 + 1):
+        x = Fraction(num * comb(k - 4, 2 * i - 2), den)
+        terms.append((x if 2 * i == n else 2 * x, 2 * i, k - 2 * i))
+    return terms
+
+
 @lru_cache(maxsize=None)
 def _eisenstein_polynomial(k: int) -> QuasimodularPoly:
     """G_k, k >= 2 even, as a polynomial: G2, G4, G6 are generators, and
-    G_2n (n >= 4) comes from G4 and G6 by Apostol's recurrence (Modular
-    Functions and Dirichlet Series, Thm 1.13) for the Laurent coefficients
-    c_n = 2 G_2n / (2n-2)! of elliptic.weierstrass_expansion:
-        (2n+1)(n-3) c_n = 3 sum_{i=2}^{n-2} c_i c_(n-i)."""
+    G_k (k >= 8) comes from G4 and G6 by _apostol_terms."""
     if k <= 6:
         return QuasimodularPoly({(k == 2, k == 4, k == 6): 1})
-    n = k // 2
-    scale = Fraction(6 * factorial(k - 2), (k + 1) * (n - 3))
-    terms = []
-    for i in range(2, n - 1):
-        # the term c_i c_(n-i), solved for G_2n
-        x = scale / (factorial(2 * i - 2) * factorial(k - 2 * i - 2))
-        terms += (
-            (tuple(map(add, m1, m2)), x * x1 * x2)
-            for m1, x1 in _eisenstein_polynomial(2 * i)._terms
-            for m2, x2 in _eisenstein_polynomial(k - 2 * i)._terms
-        )
-    return QuasimodularPoly(terms)
+    return QuasimodularPoly(
+        (tuple(map(add, m1, m2)), x * x1 * x2)
+        for x, i, j in _apostol_terms(k)
+        for m1, x1 in _eisenstein_polynomial(i)._terms
+        for m2, x2 in _eisenstein_polynomial(j)._terms
+    )
+
+
+# [q^0]G_2, [q^0]G_4, ..: entry i is [q^0]G_(2i+2), grown by
+# _eisenstein_constant to the largest weight asked for
+_eisenstein_constants: list[Fraction] = []
+
+
+def _eisenstein_constant(k: int) -> Fraction:
+    """[q^0]G_k, k >= 2 even: eisenstein(k, 0) for k <= 6, then
+    _apostol_terms at q^0 (Euler's convolution identity for zeta(2n)), so
+    it equals -B_k/(2k) without reading a Bernoulli number above B_6.
+    Grown bottom-up in _eisenstein_constants, so no call recurses by
+    weight."""
+    c = _eisenstein_constants
+    for w in range(2 * len(c) + 2, k + 1, 2):
+        if w <= 6:
+            c.append(eisenstein(w, 0).coeffs[0])
+            continue
+        # each term x G_i G_(w-i) at q^0 as an unreduced integer pair,
+        # summed over the lcm of their denominators: one Fraction per weight
+        parts = []
+        for x, i, j in _apostol_terms(w):
+            a, b = c[i // 2 - 1], c[j // 2 - 1]
+            parts.append((
+                x.numerator * a.numerator * b.numerator,
+                x.denominator * a.denominator * b.denominator,
+            ))
+        den = lcm(*(d for _, d in parts))
+        c.append(Fraction(sum(p * (den // d) for p, d in parts), den))
+    return c[k // 2 - 1]
 
 
 @lru_cache(maxsize=None)

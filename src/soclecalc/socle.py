@@ -8,8 +8,11 @@ reaches the canonical shape (exactly one zero exponent, the rest
 positive) and evaluates that shape through necklace_lhs, the wheel sum of
 three-point ramification-cycle integrals in its collapsed form: a product
 of unit-multiplicity integrals dr_standard(d_i - 1), one per positive
-exponent.  The necklace path uses only ramification-cycle data, never
-faber().  Socle values are symmetric in d, so the string recursion is
+exponent.  The necklace path uses ramification-cycle data and Faber's
+constant, the q^0 term of the Eisenstein series G_2g from modfit's
+Apostol recurrence (_necklace_normalization); it never calls faber()
+and reads no Bernoulli number above the recurrence's seeds B_2, B_4 and
+B_6.  Socle values are symmetric in d, so the string recursion is
 memoized on the exponent list sorted in non-increasing order.
 
 The recursion works in integers.  With s = g-2+n and c(g, m) =
@@ -19,10 +22,11 @@ L(g, n) = 4^(g-1) (2s-1)!! (2g-3+n)!.  On a one-zero list the quotient
 value / c(g, n-1) is the wheel sum, so the numerator is the wheel sum
 times L(g, n); on every list with at most one zero it is the integer
 ((s+g-1)!/s!) multinomial(2s; 2d) prod(d_i!), and the string equation
-carries integrality to the multi-zero lists.  Scaled so, a string step multiplies the sum of its branch numerators by 2s-1
-and the lift divides by 2s+1; every division checks its remainder and
-raises ArithmeticError on one.  No Bernoulli number enters the
-recursion: socle_necklace applies c(g, n-1) once per query.
+carries integrality to the multi-zero lists.  Scaled so, a string step
+multiplies the sum of its branch numerators by 2s-1 and the lift
+divides by 2s+1; every division checks its remainder and raises
+ArithmeticError on one.  The recursion reads no Faber constant:
+socle_necklace applies c(g, n-1) once per query.
 
 The literal oriented-wheel sum (iter_wheels) is kept only as the oracle
 for the collapse identity: wheel_collapse_check compares it with
@@ -53,6 +57,7 @@ from operator import index
 
 from .drcycle import dr_standard, dr3_recursive
 from .exact import bernoulli, double_factorial_odd, factorial
+from .modfit import _eisenstein_constant
 from .report import CheckResult, _Frozen, _set, failed, passed
 
 __all__ = [
@@ -220,14 +225,18 @@ def _literal_wheel_sum(g: int, d: tuple[int, ...]) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _necklace_normalization(g: int, m: int) -> Fraction:
-    """(-1)^(g-1) B_2g (2g-2+m)! / (2 (2g)!): the socle value of a
-    canonical query with m positive exponents over its wheel sum.
-    The necklace path multiplies by it and relation_integral_check
-    divides by it, so the relation check certifies the constant in use."""
-    b = bernoulli(2 * g)
+    """(-1)^g [q^0]G_2g (2g-2+m)! / (2g-1)!: the socle value of a
+    canonical query with m positive exponents over its wheel sum, equal to
+    faber's (-1)^(g-1) B_2g (2g-2+m)! / (2 (2g)!).  [q^0]G_2g comes from
+    the quasimodular side, modfit's Apostol recurrence at q^0, which reads
+    no Bernoulli number above its seeds: g <= 3 still reads B_2, B_4 and
+    B_6 through eisenstein(2g, 0).  The necklace path multiplies by it
+    and relation_integral_check divides by it, so the relation check
+    certifies the constant in use."""
+    c = _eisenstein_constant(2 * g)
     return Fraction(
-        (-1) ** (g - 1) * b.numerator * factorial(2 * g - 2 + m),
-        2 * b.denominator * factorial(2 * g),
+        (-1) ** g * c.numerator * factorial(2 * g - 2 + m),
+        c.denominator * factorial(2 * g - 1),
     )
 
 
@@ -395,7 +404,9 @@ def relation_integral_check(g: int, d: Sequence[int]) -> CheckResult:
     """Integrated shadow of the necklace relation: the wheel sum against
     a cotangent monomial equals the normalized sum of the closed-formula
     values with one exponent decremented per slot, which are the string
-    reductions of the zero-appended list."""
+    reductions of the zero-appended list.  The closed formula carries
+    Faber's B_2g and the normalization the Eisenstein constant
+    [q^0]G_2g of modfit's recurrence, so the check compares the two."""
     d = tuple(map(index, d))
     lhs = necklace_lhs(g, d)  # validates d: m >= 1 positive exponents
     rhs = _faber_string_sum(g, d + (0,)) / _necklace_normalization(g, len(d))

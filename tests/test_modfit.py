@@ -7,6 +7,7 @@ import pytest
 from soclecalc import modfit
 from soclecalc.cli import suite_topweight
 from soclecalc.elliptic import necklace_coefficient_series
+from soclecalc.exact import bernoulli
 from soclecalc.modfit import (
     FitInconsistency,
     QuasimodularPoly,
@@ -466,6 +467,35 @@ def test_construction_equals_fit_up_to_six():
                 ), (g, j_plus, m - j_plus)
                 checks += 1
     assert checks == 126
+
+
+def test_eisenstein_constant_is_minus_b_over_2k(monkeypatch):
+    # Apostol's recurrence at q^0 (Euler's convolution identity for
+    # zeta(2n)), seeded with the constants of G2, G4 and G6, gives
+    # -B_2n/(4n) for every n; asked cold for G_120, then for each weight
+    monkeypatch.setattr(modfit, "_eisenstein_constants", [])
+    expected = [-bernoulli(2 * n) / (4 * n) for n in range(1, 61)]
+    assert modfit._eisenstein_constant(120) == expected[-1]
+    assert modfit._eisenstein_constants == expected
+    assert [modfit._eisenstein_constant(2 * n) for n in range(1, 61)] == expected
+
+
+def test_eisenstein_constant_needs_no_deep_stack(monkeypatch):
+    # the constants grow bottom-up: asked cold for G_300 (genus 150) about
+    # 50 frames below the recursion limit, the call still returns, where a
+    # memo recursing by weight would need about 75 levels more
+    monkeypatch.setattr(modfit, "_eisenstein_constants", [])
+
+    def headroom(depth):
+        try:
+            return headroom(depth + 1)
+        except RecursionError:
+            return depth
+
+    def nested(levels):
+        return nested(levels - 1) if levels else modfit._eisenstein_constant(300)
+
+    assert nested(headroom(0) - 50) == -bernoulli(300) / 600
 
 
 def test_ramanujan_equations_in_this_normalization():

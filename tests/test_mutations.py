@@ -11,11 +11,13 @@ hides it.
 
 The construction rows perturb the built top-weight polynomial
 (modfit.necklace_polynomial): each constant of Ramanujan's equations in
-the derivation, and one value of the Apostol recurrence.  Each must fail
-elliptic.top_weight at g = 4, m = 4 (weight 14, above the fitted
+the derivation, and the k = 8 term of the Apostol recurrence.  Each must
+fail elliptic.top_weight at g = 4, m = 4 (weight 14, above the fitted
 weights) with j- = 0 and with j- >= 1, through the comparison of the
 built polynomial with the necklace series.  The kernel rows perturb one
-value of a shared sequence or constant.
+value of a shared sequence or constant; the Apostol row there is the
+construction row's perturbation, caught on the socle side through
+Faber's constant.
 """
 
 from fractions import Fraction
@@ -25,7 +27,7 @@ import pytest
 from soclecalc import cli, drcycle, elliptic, exact, modfit, qseries, socle
 from soclecalc.elliptic import top_weight_check
 from soclecalc.elliptic import check_propagator_identity
-from soclecalc.modfit import QuasimodularPoly, basis
+from soclecalc.modfit import basis
 from soclecalc.qseries import QSeries, divisor_sigmas
 from soclecalc.socle import (
     relation_integral_check,
@@ -53,6 +55,7 @@ def _clear_memos():
     for memo in MEMOS:
         memo.cache_clear()
     del exact._bernoulli_cache[1:]
+    modfit._eisenstein_constants.clear()
     modfit._columns.clear()
     for part in modfit._lu:
         part.clear()
@@ -79,13 +82,12 @@ def _doubled_at(x):
 
 
 def _doubled_g8(honest):
-    def doubled(k):
-        p = honest(k)
-        if k == 8:
-            p = QuasimodularPoly((m, 2 * x) for m, x in p.terms.items())
-        return p
+    # G_8 = x G_4 G_4, the one term of _apostol_terms(8), with 2x
+    def terms(k):
+        out = honest(k)
+        return [(2 * x, i, j) for x, i, j in out] if k == 8 else out
 
-    return doubled
+    return terms
 
 
 def _drops_last_of_several(honest):
@@ -136,17 +138,30 @@ CONSTRUCTION_ROWS = {
     "DG2 5/6 -> 5/7": (modfit, "_RAMANUJAN", _ramanujan(0, Fraction(5, 7))),
     "DG4 7/10 -> 7/11": (modfit, "_RAMANUJAN", _ramanujan(1, Fraction(7, 11))),
     "DG6 400/7 -> 400/9": (modfit, "_RAMANUJAN", _ramanujan(2, Fraction(400, 9))),
-    "Apostol G_8 doubled": (modfit, "_eisenstein_polynomial", _doubled_g8),
+    "Apostol G_8 doubled": (modfit, "_apostol_terms", _doubled_g8),
 }
 
 # label -> (module, name, perturbation, checks, check name(s), witness key)
 KERNEL_ROWS = {
-    # the m = 1 target constant 2 [q^0]G_8; faber and the necklace
-    # constant read the same B_8, so no socle check sees it
+    # the m = 1 target constant 2 [q^0]G_8
     "B_8 doubled": (
         exact, "bernoulli", _doubled_at(8),
         lambda: [top_weight_check(4, 1, 0, len(basis(8)) + 5)],
         "elliptic.top_weight", "q_power",
+    ),
+    # faber's B_8 against the necklace constant [q^0]G_8, which comes
+    # from Apostol's recurrence seeded with G4 and G6
+    "B_8 doubled (relation)": (
+        exact, "bernoulli", _doubled_at(8),
+        lambda: [relation_integral_check(4, (4,))],
+        "socle.relation_integral", "rhs",
+    ),
+    # the construction row's perturbation: the necklace constant
+    # [q^0]G_8 doubles, faber's B_8 does not
+    "Apostol G_8 doubled": (
+        modfit, "_apostol_terms", _doubled_g8,
+        lambda: [relation_integral_check(4, (4,))],
+        "socle.relation_integral", "rhs",
     ),
     # faber(4, (4, 0)) against its reductions faber(4, (3,)) and back
     "7!! doubled": (

@@ -7,6 +7,8 @@ from math import comb, factorial, prod
 import pytest
 
 import soclecalc.drcycle as drcycle
+import soclecalc.modfit as modfit
+import soclecalc.qseries as qseries
 import soclecalc.socle as socle
 from soclecalc.drcycle import dr_standard
 from soclecalc.exact import bernoulli, double_factorial_odd
@@ -449,11 +451,12 @@ def test_integer_kernels_match_the_fraction_chains():
     assert len(queries) == 1273
     for q in queries:
         assert faber(q) == _fraction_chain_faber(q)
-    for g in range(1, 9):
-        for m in range(1, 9):
-            assert socle._necklace_normalization(g, m) == (
-                _fraction_chain_normalization(g, m)
-            )
+    pairs = [(g, m) for g in range(1, 26) for m in range(1, 9)]
+    assert len(pairs) == 200
+    for g, m in pairs:
+        assert socle._necklace_normalization(g, m) == (
+            _fraction_chain_normalization(g, m)
+        )
 
 
 # --- the Fraction recursion that _necklace_numerator replaced by integer
@@ -513,10 +516,10 @@ def test_inexact_level_division_raises(monkeypatch, g, d):
 
 
 def test_recursion_reads_no_bernoulli_number(monkeypatch):
-    # the necklace normalization, the one place B_2g enters the necklace
-    # path, is applied by socle_necklace alone: the integer numerators
-    # of every canonical list of g, n <= 8 come from wheel sums and the
-    # string equation
+    # the necklace normalization, the one place Faber's constant enters
+    # the necklace path, is applied by socle_necklace alone: the integer
+    # numerators of every canonical list of g, n <= 8 come from wheel sums
+    # and the string equation
     queries = list(iter_socle_queries(8, 8))
     assert len(queries) == 1273
     numerators = [socle._necklace_numerator(q.g, q.d) for q in queries]
@@ -535,6 +538,37 @@ def test_recursion_reads_no_bernoulli_number(monkeypatch):
         memo.cache_clear()
     try:
         assert [socle._necklace_numerator(q.g, q.d) for q in queries] == numerators
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+
+
+def test_necklace_path_reads_no_bernoulli_number_above_b6(monkeypatch):
+    # Faber's constant comes from modfit's Apostol recurrence, seeded with
+    # the constants of G2, G4 and G6: with socle's bernoulli refused and
+    # qseries' refused from B_8 on, every value of g, n <= 8 is unchanged
+    queries = list(iter_socle_queries(8, 8))
+    assert len(queries) == 1273
+    values = [socle_necklace(q) for q in queries]
+    memos = (
+        socle._necklace_numerator,
+        socle._level_denominator,
+        socle._necklace_normalization,
+        qseries.eisenstein,
+    )
+
+    def refused(k):
+        raise AssertionError(f"the necklace path read B_{k}")
+
+    monkeypatch.setattr(socle, "bernoulli", refused)
+    monkeypatch.setattr(
+        qseries, "bernoulli", lambda k: bernoulli(k) if k < 8 else refused(k)
+    )
+    monkeypatch.setattr(modfit, "_eisenstein_constants", [])
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        assert [socle_necklace(q) for q in queries] == values
     finally:
         for memo in memos:
             memo.cache_clear()
