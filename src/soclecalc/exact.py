@@ -21,6 +21,7 @@ __all__ = [
 # n!, which raises ValueError for n < 0
 factorial = math.factorial
 
+# entry i is B_2i, grown by bernoulli to the largest index asked for
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 
 
@@ -28,16 +29,22 @@ def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k, convention B_1 = -1/2.
 
     Only even indices are consumed by the intersection formulas, so the
-    B_1 convention never becomes observable there.  Values are computed
-    by the defining recurrence and cached; the cache grows to the
-    largest index requested.
+    B_1 convention never becomes observable there.  B_1 and the odd
+    B_k = 0 (k >= 3) are constants; the even ones come from the defining
+    recurrence sum_{j<=2n} C(2n+1, j) B_j = 0 with its one odd term,
+    j = 1, written out:
+        B_2n = 1/2 - sum_{i<n} C(2n+1, 2i) B_2i / (2n+1),
+    cached up to the largest index requested.
     """
     if k < 0:
         raise ValueError(f"bernoulli index must be >= 0, got {k}")
-    for m in range(len(_bernoulli_cache), k + 1):
-        acc = sum(math.comb(m + 1, j) * _bernoulli_cache[j] for j in range(m))
-        _bernoulli_cache.append(Fraction(-acc, m + 1))
-    return _bernoulli_cache[k]
+    if k % 2:
+        return Fraction(-1, 2) if k == 1 else Fraction(0)
+    c = _bernoulli_cache
+    for n in range(len(c), k // 2 + 1):
+        acc = sum(math.comb(2 * n + 1, 2 * i) * c[i] for i in range(n))
+        c.append(Fraction(1, 2) - acc / (2 * n + 1))
+    return c[k // 2]
 
 
 @lru_cache(maxsize=None)

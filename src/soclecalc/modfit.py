@@ -304,7 +304,8 @@ _eisenstein_constants: list[Fraction] = []
 def _eisenstein_constant(k: int) -> Fraction:
     """[q^0]G_k, k >= 2 even: eisenstein(k, 0) for k <= 6, then
     _apostol_terms at q^0 (Euler's convolution identity for zeta(2n)), so
-    it equals -B_k/(2k) without reading a Bernoulli number above B_6.
+    it equals -B_k/(2k) without reading a Bernoulli number above B_6:
+    each weight is the Fraction sum of its terms x G_i G_(k-i) at q^0.
     Grown bottom-up in _eisenstein_constants, so no call recurses by
     weight."""
     c = _eisenstein_constants
@@ -312,17 +313,9 @@ def _eisenstein_constant(k: int) -> Fraction:
         if w <= 6:
             c.append(eisenstein(w, 0).coeffs[0])
             continue
-        # each term x G_i G_(w-i) at q^0 as an unreduced integer pair,
-        # summed over the lcm of their denominators: one Fraction per weight
-        parts = []
-        for x, i, j in _apostol_terms(w):
-            a, b = c[i // 2 - 1], c[j // 2 - 1]
-            parts.append((
-                x.numerator * a.numerator * b.numerator,
-                x.denominator * a.denominator * b.denominator,
-            ))
-        den = lcm(*(d for _, d in parts))
-        c.append(Fraction(sum(p * (den // d) for p, d in parts), den))
+        c.append(
+            sum(x * c[i // 2 - 1] * c[j // 2 - 1] for x, i, j in _apostol_terms(w))
+        )
     return c[k // 2 - 1]
 
 

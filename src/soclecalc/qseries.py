@@ -1,14 +1,13 @@
 """Truncated formal power series in q over exact rationals.
 
-A QSeries keeps coefficients of q^0 .. q^order inclusive.  Arithmetic
-between two series truncates to the smaller order: series are
-approximations by construction, so the silent truncation is the
-documented behaviour, never an error.
+A QSeries keeps coefficients of q^0 .. q^order inclusive.  The product
+of two series truncates to the smaller order, silently: series are
+approximations by construction.
 
-The q^0 slot can be flagged unknown (constant_known=False).  That state
-arises for regularized coefficient series whose constant term is only
-defined through a limiting procedure; any operation that would read the
-unknown constant either propagates the flag or raises.
+The q^0 slot can be flagged unknown (constant_known=False), for the
+regularized coefficient series whose constant term is only defined
+through a limiting procedure.  scale keeps the flag; reading that
+constant or multiplying by the series raises.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .report import _Frozen, _set
 __all__ = [
     "QSeries",
     "eisenstein",
-    "q_d_q",
 ]
 
 
@@ -58,18 +56,6 @@ class QSeries(_Frozen):
         if n == 0 and not self.constant_known:
             raise ValueError("q^0 coefficient of this series is unknown")
         return self.coeffs[n]
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        known = self.constant_known and other.constant_known
-        return QSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), known
-        )
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(tuple(-c for c in self.coeffs), self.constant_known)
 
     def scale(self, c) -> "QSeries":
         c = rational(c)
@@ -123,12 +109,3 @@ def eisenstein(k: int, order: int) -> QSeries:
     coeffs = [-bernoulli(k) / (2 * k)]
     coeffs.extend(map(Fraction, divisor_sigmas(k - 1, order)))
     return QSeries(tuple(coeffs))
-
-
-def q_d_q(s: QSeries) -> QSeries:
-    """The derivation q d/dq: multiplies the q^n coefficient by n.
-
-    The constant is killed, so the output q^0 coefficient is known (0)
-    even when the input constant was a regularization placeholder.
-    """
-    return QSeries(tuple(n * c for n, c in enumerate(s.coeffs)))

@@ -25,7 +25,7 @@ from soclecalc.elliptic import (
     top_weight_check,
 )
 from soclecalc.modfit import basis
-from soclecalc.qseries import eisenstein, q_d_q
+from soclecalc.qseries import eisenstein
 from soclecalc.socle import (
     SocleQuery,
     faber,
@@ -35,6 +35,8 @@ from soclecalc.socle import (
     verify_string_consistency,
     wheel_collapse_check,
 )
+
+from series_ops import q_d_q
 
 
 def _report(criterion, ok, detail):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from soclecalc import exact, modfit
 from soclecalc.exact import (
     bernoulli,
     double_factorial_odd,
@@ -30,6 +31,32 @@ def test_bernoulli_even_sign_alternates():
     for g in range(1, 13):
         sign = 1 if bernoulli(2 * g) > 0 else -1
         assert sign == (-1) ** (g + 1)
+
+
+def test_bernoulli_grows_only_the_even_indices(monkeypatch):
+    # the even-index recurrence costs n binomials for B_2n, so a cold
+    # B_600 costs 1 + 2 + .. + 300 = 45150; the full recurrence over every
+    # index m <= 600 would cost m each, about 180000
+    monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1)])
+    monkeypatch.setattr(modfit, "_eisenstein_constants", [])
+    calls = 0
+    comb = exact.math.comb
+
+    def counted(n, k):
+        nonlocal calls
+        calls += 1
+        return comb(n, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact.math, "comb", counted)
+        bernoulli(600)
+    assert calls <= 45150
+    assert bernoulli(1) == Fraction(-1, 2)
+    assert all(bernoulli(k) == 0 for k in range(3, 602, 2))
+    # against Euler's convolution identity, which reads B_2, B_4, B_6 only
+    assert [bernoulli(2 * n) for n in range(1, 151)] == [
+        -4 * n * modfit._eisenstein_constant(2 * n) for n in range(1, 151)
+    ]
 
 
 def test_bernoulli_rejects_negative():

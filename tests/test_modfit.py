@@ -19,7 +19,9 @@ from soclecalc.modfit import (
     monomial_weight,
     necklace_polynomial,
 )
-from soclecalc.qseries import QSeries, eisenstein, q_d_q
+from soclecalc.qseries import QSeries, eisenstein
+
+from series_ops import plus, q_d_q, times
 
 
 def _partition_count_246(v):
@@ -70,7 +72,7 @@ def test_evaluate_commutes_with_ring_ops():
         for m1, c1 in p.terms.items()
         for m2, c2 in q.terms.items()
     )
-    assert evaluate(total, order) == evaluate(p, order) + evaluate(q, order)
+    assert evaluate(total, order) == plus(evaluate(p, order), evaluate(q, order))
     assert evaluate(product, order) == evaluate(p, order) * evaluate(q, order)
 
 
@@ -231,17 +233,6 @@ def test_evaluate_with_top_is_both_evaluations():
 # the oracle of fit.
 
 
-def _times(s, t):
-    # the Cauchy product of two series, truncated to the smaller order
-    n = min(s.order, t.order)
-    return QSeries(
-        tuple(
-            sum(s.coeffs[i] * t.coeffs[m - i] for i in range(m + 1))
-            for m in range(n + 1)
-        )
-    )
-
-
 @lru_cache(maxsize=None)
 def _ref_monomial_series(mono, order):
     # G2^a G4^b G6^c as a literal product of Eisenstein series: the
@@ -251,7 +242,7 @@ def _ref_monomial_series(mono, order):
         return QSeries.constant(1, order)
     j = max(i for i, e in enumerate(mono) if e)
     lower = tuple(e - (i == j) for i, e in enumerate(mono))
-    return _times(_ref_monomial_series(lower, order), eisenstein(2 * j + 2, order))
+    return times(_ref_monomial_series(lower, order), eisenstein(2 * j + 2, order))
 
 
 def _ref_solve(matrix, rhs):
@@ -502,10 +493,10 @@ def test_ramanujan_equations_in_this_normalization():
     # D = q d/dq; the integers of modfit._column's recurrence come from
     # these constants
     g2, g4, g6 = (eisenstein(k, 40) for k in (2, 4, 6))
-    assert q_d_q(g2) == _times(g2, g2).scale(-2) + g4.scale(Fraction(5, 6))
-    assert q_d_q(g4) == _times(g2, g4).scale(-8) + g6.scale(Fraction(7, 10))
-    assert q_d_q(g6) == _times(g2, g6).scale(-12) + _times(g4, g4).scale(
-        Fraction(400, 7)
+    assert q_d_q(g2) == plus(times(g2, g2).scale(-2), g4.scale(Fraction(5, 6)))
+    assert q_d_q(g4) == plus(times(g2, g4).scale(-8), g6.scale(Fraction(7, 10)))
+    assert q_d_q(g6) == plus(
+        times(g2, g6).scale(-12), times(g4, g4).scale(Fraction(400, 7))
     )
 
 

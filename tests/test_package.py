@@ -1,9 +1,11 @@
 """The package exports every layer's public names, and only those: each
-module's __all__ is the one list of its public names.  Importing it
+module's __all__ is the one list of its public names, and every public
+function is used by the package or its benchmarks.  Importing it
 loads neither dataclasses nor typing (nor csv, which only csv output
 needs), and its value types behave as the frozen dataclasses they
 replace."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -13,6 +15,7 @@ import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -46,6 +49,39 @@ def test_package_exports_nothing_else():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public == listed
+
+
+def _loaded_names(tree):
+    # every name the module reads, bare or as an attribute, except a
+    # function's reads of its own name: recursion is not a use
+    loaded = set()
+
+    def visit(node, own):
+        if isinstance(node, ast.FunctionDef):
+            own = node.name
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name not in (None, own):
+                loaded.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, None)
+    return loaded
+
+
+def test_every_public_function_is_used_by_the_package_or_benchmarks():
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    files = [*Path(soclecalc.__file__).parent.glob("*.py"), *benchmarks.glob("*.py")]
+    loaded = set().union(*(_loaded_names(ast.parse(f.read_text())) for f in files))
+    unused = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"soclecalc.{layer}")
+        for name in module.__all__:
+            value = getattr(module, name)
+            if callable(value) and not isinstance(value, type) and name not in loaded:
+                unused.append(f"{layer}.{name}")
+    assert unused == []
 
 
 def test_import_loads_neither_dataclasses_nor_typing():
