@@ -15,18 +15,19 @@ Eisenstein divisor-power convention.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from operator import index
+from itertools import repeat
+from math import lcm
+from operator import add, index, mul
 
 from .exact import bernoulli, factorial
 from .modfit import (
     FitInconsistency,
     _fit_monomials,
+    block_sum,
     evaluate,
-    evaluate_with_top,
     fit,
     graded_part,
-    necklace_polynomial,
+    necklace_blocks,
 )
 from .qseries import QSeries, divisor_sigmas, eisenstein
 from .report import CheckResult, failed, passed
@@ -159,35 +160,51 @@ def necklace_coefficient_series(
     if g < 1 or j_plus < 1 or j_minus < 0:
         raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
     m = j_plus + j_minus
-    coeffs = [0] * (q_order + 1)  # integers; QSeries makes them Fractions
+    # (1 - q^a)^(-m) has coefficient C(j+m-1, m-1) at q^(a j): one row,
+    # stepped from C(m-1, m-1) = 1; the two branches put
+    # r[t] = C(t-j_minus+m-1, m-1) + C(t-j_plus+m-1, m-1) at q^(a t)
+    row = [1]
+    for j in range(1, q_order + 1):
+        row.append(row[-1] * (j + m - 1) // j)
+    r = [0] * (q_order + 1)
+    for start in (j_minus, j_plus):
+        r[start:] = map(add, r[start:], row)
+    # q^n gets a^(2g-2+m) r[n/a] from each divisor a of n; t = 0 is the
+    # divergent stratum, only reachable when j_minus = 0
+    coeffs = [0] * (q_order + 1)
     for a in range(1, q_order + 1):
-        weight = a ** (2 * g - 2 + m)
-        # (1 - q^a)^(-m) has coefficient C(j+m-1, m-1) at q^(a j)
-        for j in range(q_order // a + 1):
-            c = weight * comb(j + m - 1, m - 1)
-            for start in (a * j_minus, a * j_plus):
-                pos = start + a * j
-                if pos == 0:
-                    continue  # divergent stratum, only reachable when j_minus=0
-                if pos <= q_order:
-                    coeffs[pos] += c
-    return QSeries(tuple(coeffs), constant_known=j_minus >= 1)
+        terms = map(mul, repeat(a ** (2 * g - 2 + m)), r[1 : q_order // a + 1])
+        coeffs[a::a] = map(add, coeffs[a::a], terms)
+    return QSeries(tuple(map(Fraction, coeffs)), constant_known=j_minus >= 1)
 
 
-def _top_weight_target(g: int, m: int, q_order: int) -> QSeries:
-    """(2/(m-1)!) (q d/dq)^(m-1) G_2g, coefficient by coefficient: the
-    q^n coefficient is 2 n^(m-1) sigma_(2g-1)(n) / (m-1)! for n >= 1,
-    and the q^0 coefficient is 2 [q^0]G_2g when m = 1, else 0."""
-    series = eisenstein(2 * g, q_order).coeffs
-    den = factorial(m - 1)
-    constant = 2 * series[0] if m == 1 else Fraction(0)
-    return QSeries(
-        (constant,)
-        + tuple(
-            Fraction(2 * n ** (m - 1) * series[n].numerator, den)
-            for n in range(1, q_order + 1)
-        )
-    )
+def _top_weight_target(g: int, m: int, q_order: int) -> tuple[int, list[int]]:
+    """(den, den * the q^0 .. q^order coefficients) of
+    (2/(m-1)!) (q d/dq)^(m-1) G_2g, coefficient by coefficient: the q^n
+    coefficient is 2 n^(m-1) sigma_(2g-1)(n) / (m-1)! for n >= 1, and
+    the q^0 coefficient is 2 [q^0]G_2g = -B_2g/(2g) when m = 1, else 0;
+    den is (m-1)! times the denominator of that constant."""
+    constant = -bernoulli(2 * g) / (2 * g) if m == 1 else Fraction(0)
+    x = 2 * constant.denominator
+    sigmas = divisor_sigmas(2 * g - 1, q_order)
+    return factorial(m - 1) * constant.denominator, [constant.numerator] + [
+        x * n ** (m - 1) * s for n, s in enumerate(sigmas, 1)
+    ]
+
+
+def _integers(series: QSeries) -> tuple[int, list[int]]:
+    """(den, den * the coefficients of series), den the lcm of their
+    denominators (1 for the necklace series, which is integral)."""
+    coeffs = series.coeffs
+    den = lcm(*(x.denominator for x in coeffs))
+    return den, [x.numerator * (den // x.denominator) for x in coeffs]
+
+
+def _first_miss(lhs, rhs, start: int = 0) -> int | None:
+    """The first n >= start at which two series given as (den, den * the
+    coefficients) differ, by cross-multiplying integers, or None."""
+    (a, xs), (b, ys) = lhs, rhs
+    return next((n for n in range(start, len(ys)) if xs[n] * b != a * ys[n]), None)
 
 
 # the heaviest top weight that top_weight_check fits, not builds: every
@@ -206,9 +223,12 @@ def top_weight_check(
     Up to weight _FIT_MAX_WEIGHT the polynomial is fit to the series
     (implying the regularized constant when j_minus = 0); an
     inconsistency, reported verbatim, would falsify quasimodularity at
-    this order.  Above it, modfit.necklace_polynomial must evaluate to
-    the series at every q-power, q^0 only when j_minus >= 1.  Either
-    needs an order that leaves fit its surplus rows (else ValueError).
+    this order.  Above it, the sum of the blocks of modfit.necklace_blocks
+    must equal the series at every q-power, q^0 only when j_minus >= 1,
+    and its top graded part is the sum of its blocks D^i G_k of the top
+    weight k + 2i.  Either needs an order that leaves fit its surplus
+    rows (else ValueError).  Every comparison is made in integers by
+    _first_miss; only a witness is a Fraction.
     """
     m = j_plus + j_minus
     top_weight = 2 * g - 2 + 2 * m
@@ -220,24 +240,30 @@ def top_weight_check(
             return failed(
                 "elliptic.top_weight", {"fit_inconsistency": str(result)}, **params
             )
-        top = evaluate(graded_part(result, top_weight), q_order)
+        top = _integers(evaluate(graded_part(result, top_weight), q_order))
     else:
         _fit_monomials(top_weight, q_order)  # fit's order precondition
-        result = necklace_polynomial(g, j_plus, j_minus)
-        full, top = evaluate_with_top(result, top_weight, q_order)
-        built, coeffs = full.coeffs, series.coeffs
+        blocks = necklace_blocks(g, j_plus, j_minus)
+        scale = factorial(m - 1)
+        den, built = block_sum(blocks, scale, q_order)
         start = 0 if series.constant_known else 1
-        n = next((n for n in range(start, q_order + 1) if built[n] != coeffs[n]), None)
+        n = _first_miss((den, built), _integers(series), start)
         if n is not None:
-            witness = {"construction_q_power": n, "construction": built[n]}
-            return failed(
-                "elliptic.top_weight", {**witness, "series": coeffs[n]}, **params
-            )
-    lhs = top.coeffs
-    rhs = _top_weight_target(g, m, q_order).coeffs
-    n = next((n for n, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
+            witness = {
+                "construction_q_power": n,
+                "construction": Fraction(built[n], den),
+                "series": series.coeffs[n],
+            }
+            return failed("elliptic.top_weight", witness, **params)
+        top = block_sum(
+            [(c, i, k) for c, i, k in blocks if k + 2 * i == top_weight],
+            scale,
+            q_order,
+        )
+    target = _top_weight_target(g, m, q_order)
+    n = _first_miss(top, target)
     if n is None:
         return passed("elliptic.top_weight", **params)
-    return failed(
-        "elliptic.top_weight", {"q_power": n, "lhs": lhs[n], "rhs": rhs[n]}, **params
-    )
+    (a, xs), (b, ys) = top, target
+    witness = {"q_power": n, "lhs": Fraction(xs[n], a), "rhs": Fraction(ys[n], b)}
+    return failed("elliptic.top_weight", witness, **params)

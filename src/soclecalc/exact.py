@@ -42,7 +42,12 @@ def bernoulli(k: int) -> Fraction:
         return Fraction(-1, 2) if k == 1 else Fraction(0)
     c = _bernoulli_cache
     for n in range(len(c), k // 2 + 1):
-        acc = sum(math.comb(2 * n + 1, 2 * i) * c[i] for i in range(n))
+        # C(2n+1, 2i) stepped along its row two entries at a time
+        top, binom, acc = 2 * n + 1, 1, Fraction(0)
+        for i in range(n):
+            acc += binom * c[i]
+            r = top - 2 * i
+            binom = binom * r * (r - 1) // ((2 * i + 1) * (2 * i + 2))
         c.append(Fraction(1, 2) - acc / (2 * n + 1))
     return c[k // 2]
 

@@ -1,18 +1,21 @@
 """The graded ring of quasimodular forms C[G2, G4, G6].
 
 Provides basis enumeration by weight, exact evaluation of polynomials in
-the generators to truncated q-series, the polynomial of each necklace
-coefficient series built from q d/dq and the Eisenstein series, and the
-inverse problem: exact recognition of a truncated series as such a
+the generators to truncated q-series, each necklace coefficient series
+built as a sum of blocks D^i G_k (q d/dq and the Eisenstein series), and
+the inverse problem: exact recognition of a truncated series as such a
 polynomial (`fit`), the top-weight check's oracle at low weight.
 
 Both directions work on integer columns, one store for all of them:
 24^a 240^b 504^c G2^a G4^b G6^c for every monomial, grown to the largest
-order asked for (_column).  Each recognition matrix's leading square
-block is a leading block of the larger ones, so one fraction-free LU
-factorization, grown to the largest block asked for, serves every fit
-(_solve); evaluating its block's solution on the columns, as evaluate
-does, accepts it or names the first q-power it misses.
+order asked for (_column).  A block's integer series is summed once on
+the columns and kept in a second store (_block), so a necklace series is
+a short integer sum over blocks (block_sum).  Each recognition matrix's
+leading square block is a leading block of the larger ones, so one
+fraction-free LU factorization, grown to the largest block asked for,
+serves every fit (_solve); evaluating its block's solution on the
+columns, as evaluate does, accepts it or names the first q-power it
+misses.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 from operator import add, index, mul
 
 from .exact import factorial, rational
-from .qseries import QSeries, eisenstein
+from .qseries import QSeries, divisor_sigmas, eisenstein
 from .report import _Frozen, _set
 
 __all__ = [
@@ -32,12 +35,12 @@ __all__ = [
     "Monomial",
     "QuasimodularPoly",
     "basis",
+    "block_sum",
     "evaluate",
-    "evaluate_with_top",
     "fit",
     "graded_part",
     "monomial_weight",
-    "necklace_polynomial",
+    "necklace_blocks",
 ]
 
 # exponent triple (a, b, c) standing for G2^a * G4^b * G6^c
@@ -121,15 +124,21 @@ class FitInconsistency(_Frozen):
 
 
 def basis(max_weight: int) -> list[Monomial]:
-    """All exponent triples of weight <= max_weight, graded lexicographic."""
+    """All exponent triples of weight <= max_weight, graded lexicographic;
+    a new list each call, copied from _sorted_basis."""
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
+    return list(_sorted_basis(max_weight))
+
+
+@lru_cache(maxsize=None)
+def _sorted_basis(max_weight: int) -> tuple[Monomial, ...]:
     out = []
     for c in range(max_weight // 6 + 1):
         for b in range((max_weight - 6 * c) // 4 + 1):
             for a in range((max_weight - 6 * c - 4 * b) // 2 + 1):
                 out.append((a, b, c))
-    return sorted(out, key=_basis_key)
+    return tuple(sorted(out, key=_basis_key))
 
 
 # monomial -> its _column, grown to the largest order asked for
@@ -141,11 +150,12 @@ def _column(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     with scale = 24^a 240^b 504^c, kept in _columns and grown from its
     stored length.
 
-    A generator G_k's column is den_k * eisenstein(k, order), den_k the
-    denominator of the constant term -B_k/(2k); every coefficient beyond
-    q^0 is a divisor sum, so it is integral, and that is checked here,
-    not assumed.  A modular monomial G4^b G6^c is the column with its
-    last nonzero exponent lowered times that generator's (_product).
+    A generator G_k's column is den_k * G_k: its constant term -B_k/(2k)
+    (_eisenstein_constant) has the denominator den_k, and den_k times the
+    divisor sums sigma_(k-1)(n) of qseries.divisor_sigmas are integers by
+    construction, so no Fraction series is built.  A modular monomial
+    G4^b G6^c is the column with its last nonzero exponent lowered times
+    that generator's (_product).
 
     Every other monomial has a >= 1 and comes from Ramanujan's equations
     in O(order).  With D = q d/dq and col(a, b, c) its column,
@@ -162,12 +172,10 @@ def _column(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     a, b, c = mono
     if mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         k = 2 * a + 4 * b + 6 * c
-        series = eisenstein(k, order)
-        scale = series.coeffs[0].denominator
-        scaled = [x * scale for x in series.coeffs]
-        if any(x.denominator != 1 for x in scaled):
-            raise ArithmeticError(f"{scale} * G_{k} is not an integer series")
-        col = tuple(x.numerator for x in scaled)
+        constant = _eisenstein_constant(k)
+        scale = constant.denominator
+        sigmas = divisor_sigmas(k - 1, order)
+        col = (constant.numerator, *(scale * x for x in sigmas))
     elif not a:
         unit = (0, 0, 1) if c else (0, 1, 0)
         scale, lower = _column((0, b - unit[1], c - unit[2]), order)
@@ -217,26 +225,6 @@ def evaluate(p: QuasimodularPoly, order: int) -> QSeries:
     return QSeries(tuple(Fraction(t, den) for t in total))
 
 
-def evaluate_with_top(
-    p: QuasimodularPoly, weight: int, order: int
-) -> tuple[QSeries, QSeries]:
-    """(evaluate(p, order), evaluate(graded_part(p, weight), order)),
-    evaluating each term once: the two parts' integer sums are added
-    over their common denominator."""
-    top_den, top = _integer_sum(
-        [t for t in p._terms if monomial_weight(t[0]) == weight], order
-    )
-    rest_den, rest = _integer_sum(
-        [t for t in p._terms if monomial_weight(t[0]) != weight], order
-    )
-    den = lcm(top_den, rest_den)
-    a, b = den // top_den, den // rest_den
-    return (
-        QSeries(tuple(Fraction(a * x + b * y, den) for x, y in zip(top, rest))),
-        QSeries(tuple(Fraction(x, top_den) for x in top)),
-    )
-
-
 def _integer_sum(terms, order: int) -> tuple[int, list[int]]:
     """(den, den * the q^0 .. q^order coefficients of the sum of the
     terms), den the lcm of the denominators of each coeff/scale."""
@@ -271,13 +259,17 @@ def _apostol_terms(k: int) -> list[tuple[Fraction, int, int]]:
     (w = 2i).  The one home of the recurrence: _eisenstein_polynomial and
     _eisenstein_constant both read it."""
     # term i is 6 (k-2)! / ((k+1)(n-3) (2i-2)! (k-2i-2)!), one binomial
-    # since (2i-2) + (k-2i-2) = k-4; for i < n/2 it also stands for the
-    # equal term n-i, so it counts twice
+    # C(k-4, 2i-2) since (2i-2) + (k-2i-2) = k-4, stepped along its row
+    # two entries at a time; for i < n/2 it also stands for the equal term
+    # n-i, so it counts twice
     n = k // 2
     num, den = 6 * (k - 2) * (k - 3), (k + 1) * (n - 3)
     terms = []
+    binom = 1
     for i in range(2, n // 2 + 1):
-        x = Fraction(num * comb(k - 4, 2 * i - 2), den)
+        r = 2 * i - 2
+        binom = binom * (k - 2 - r) * (k - 3 - r) // ((r - 1) * r)
+        x = Fraction(num * binom, den)
         terms.append((x if 2 * i == n else 2 * x, 2 * i, k - 2 * i))
     return terms
 
@@ -319,7 +311,6 @@ def _eisenstein_constant(k: int) -> Fraction:
     return c[k // 2 - 1]
 
 
-@lru_cache(maxsize=None)
 def _derivative(p: QuasimodularPoly) -> QuasimodularPoly:
     """D = q d/dq on a polynomial: D(G2^a G4^b G6^c) is
     -(2a + 8b + 12c) G2^(a+1) G4^b G6^c plus a, b and c times the
@@ -337,39 +328,86 @@ def _derivative(p: QuasimodularPoly) -> QuasimodularPoly:
     return QuasimodularPoly(terms)
 
 
-def necklace_polynomial(g: int, j_plus: int, j_minus: int) -> QuasimodularPoly:
+@lru_cache(maxsize=None)
+def _block_polynomial(i: int, k: int) -> QuasimodularPoly:
+    """The block D^i G_k as a polynomial, homogeneous of weight k + 2i:
+    G_k from _eisenstein_polynomial, then i passes of _derivative."""
+    if not i:
+        return _eisenstein_polynomial(k)
+    return _derivative(_block_polynomial(i - 1, k))
+
+
+# (i, k) -> (den, den * D^i G_k up to at least q^order as integers), grown
+# by _block to the largest order asked for
+_blocks: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+
+
+def _block(i: int, k: int, order: int) -> tuple[int, tuple[int, ...]]:
+    """The integer series of the block D^i G_k, summed on the columns by
+    _integer_sum once, and again only when a larger order is asked for."""
+    block = _blocks.get((i, k))
+    if block is None or len(block[1]) <= order:
+        den, ints = _integer_sum(_block_polynomial(i, k)._terms, order)
+        block = _blocks[i, k] = den, tuple(ints)
+    return block
+
+
+@lru_cache(maxsize=None)
+def _necklace_coefficients(j_plus: int, j_minus: int) -> tuple[int, ...]:
+    """(m-1)! c_i for i = 0 .. m-1, m = j_plus + j_minus, with
+    P(n) = sum_i c_i n^i = C(n - j_minus + m - 1, m - 1)
+    + C(n - j_plus + m - 1, m - 1): each binomial times (m-1)! is the
+    integer polynomial (n - start + 1) ... (n - start + m - 1)."""
+    m = j_plus + j_minus
+    c = [0] * m
+    for start in (j_minus, j_plus):
+        binom = [1]
+        for t in range(1 - start, m - start):
+            binom = [t * x + y for x, y in zip(binom + [0], [0] + binom)]
+        c = list(map(add, c, binom))
+    return tuple(c)
+
+
+def necklace_blocks(g: int, j_plus: int, j_minus: int) -> list[tuple[int, int, int]]:
     """The polynomial of elliptic.necklace_coefficient_series, built, not
-    recognized (Oberdieck-Pixton: the series is quasimodular).
+    recognized (Oberdieck-Pixton: the series is quasimodular), as the
+    (c, i, k) of its blocks: it is sum c / (m-1)! D^i G_k over them.
 
     With m = j_plus + j_minus and K = 2g - 2 + m the series is
     sum_{a, n >= 1} a^K P(n) q^(an), where P(n) = sum_i c_i n^i is
     C(n - j_minus + m - 1, m - 1) + C(n - j_plus + m - 1, m - 1) (each
     binomial vanishes below its branch's first term), so beyond q^0 it
-    is sum_i c_i D^i G_(K-i+1); a nonzero c_i with K - i + 1 odd raises
-    ArithmeticError.  No term is the constant monomial: c_0 = P(0) is
-    nonzero only when j_minus = 0, whose q^0 coefficient fit leaves free.
+    is sum_i c_i D^i G_(K-i+1); c = (m-1)! c_i (_necklace_coefficients),
+    and only the nonzero ones are listed.  A nonzero c_i with K - i + 1
+    odd raises ArithmeticError.  No block is the constant monomial:
+    c_0 = P(0) is nonzero only when j_minus = 0, whose q^0 coefficient
+    the series leaves unknown.
     """
     if g < 1 or j_plus < 1 or j_minus < 0:
         raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
     m = j_plus + j_minus
-    c = [Fraction(0)] * m
-    for start in (j_minus, j_plus):
-        # (n - start + 1) ... (n - start + m - 1) / (m - 1)!, by powers of n
-        binom = [Fraction(1, factorial(m - 1))]
-        for t in range(1 - start, m - start):
-            binom = [t * x + y for x, y in zip(binom + [0], [0] + binom)]
-        c = list(map(add, c, binom))
     terms = []
-    for i, ci in enumerate(c):
+    for i, c in enumerate(_necklace_coefficients(j_plus, j_minus)):
         k = 2 * g - 1 + m - i
-        if ci and k % 2:
+        if c and k % 2:
+            ci = Fraction(c, factorial(m - 1))
             raise ArithmeticError(f"c_{i} = {ci} would multiply D^{i} G_{k}")
-        if ci:
-            p = _eisenstein_polynomial(k)
-            for _ in range(i):
-                p = _derivative(p)
-            terms += ((mono, ci * x) for mono, x in p._terms)
-    return QuasimodularPoly(terms)
+        if c:
+            terms.append((c, i, k))
+    return terms
+
+
+def block_sum(terms, den: int, order: int) -> tuple[int, list[int]]:
+    """(D, D * the q^0 .. q^order coefficients of sum c / den D^i G_k over
+    the (c, i, k) of terms), D = den times the lcm of the blocks'
+    denominators: each block's integer series comes from _block."""
+    blocks = [(c, _block(i, k, order)) for c, i, k in terms]
+    common = lcm(*(d for _, (d, _) in blocks))
+    total = [0] * (order + 1)
+    for c, (d, ints) in blocks:
+        x = c * (common // d)
+        total = [t + x * y for t, y in zip(total, ints)]
+    return den * common, total
 
 
 def _fit_monomials(max_weight: int, order: int) -> list[Monomial]:

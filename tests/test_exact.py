@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -34,9 +35,8 @@ def test_bernoulli_even_sign_alternates():
 
 
 def test_bernoulli_grows_only_the_even_indices(monkeypatch):
-    # the even-index recurrence costs n binomials for B_2n, so a cold
-    # B_600 costs 1 + 2 + .. + 300 = 45150; the full recurrence over every
-    # index m <= 600 would cost m each, about 180000
+    # the even-index recurrence stores B_0, B_2, .. B_600 only, 301 entries,
+    # and steps each binomial from the previous one: no math.comb call
     monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1)])
     monkeypatch.setattr(modfit, "_eisenstein_constants", [])
     calls = 0
@@ -50,13 +50,33 @@ def test_bernoulli_grows_only_the_even_indices(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(exact.math, "comb", counted)
         bernoulli(600)
-    assert calls <= 45150
+    assert calls == 0
+    assert len(exact._bernoulli_cache) == 301
     assert bernoulli(1) == Fraction(-1, 2)
     assert all(bernoulli(k) == 0 for k in range(3, 602, 2))
     # against Euler's convolution identity, which reads B_2, B_4, B_6 only
     assert [bernoulli(2 * n) for n in range(1, 151)] == [
         -4 * n * modfit._eisenstein_constant(2 * n) for n in range(1, 151)
     ]
+
+
+def test_pascal_steps_equal_their_binomials(monkeypatch):
+    # bernoulli and modfit._apostol_terms step along one row of Pascal's
+    # triangle, two entries at a time; here each binomial is math.comb
+    monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1)])
+    even = [Fraction(1)]
+    for n in range(1, 201):
+        acc = sum(comb(2 * n + 1, 2 * i) * even[i] for i in range(n))
+        even.append(Fraction(1, 2) - acc / (2 * n + 1))
+    assert [bernoulli(2 * n) for n in range(201)] == even
+    for k in range(8, 201, 2):
+        n = k // 2
+        num, den = 6 * (k - 2) * (k - 3), (k + 1) * (n - 3)
+        twice = [1 if 2 * i == n else 2 for i in range(n // 2 + 1)]
+        assert modfit._apostol_terms(k) == [
+            (twice[i] * Fraction(num * comb(k - 4, 2 * i - 2), den), 2 * i, k - 2 * i)
+            for i in range(2, n // 2 + 1)
+        ], k
 
 
 def test_bernoulli_rejects_negative():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
@@ -13,13 +14,12 @@ from soclecalc.modfit import (
     QuasimodularPoly,
     basis,
     evaluate,
-    evaluate_with_top,
     fit,
     graded_part,
     monomial_weight,
-    necklace_polynomial,
+    necklace_blocks,
 )
-from soclecalc.qseries import QSeries, eisenstein
+from soclecalc.qseries import QSeries, divisor_sigmas, eisenstein
 
 from series_ops import plus, q_d_q, times
 
@@ -209,22 +209,6 @@ def test_graded_decomposition_sums_back():
             t for w in range(0, 11, 2) for t in graded_part(p, w).terms.items()
         )
         assert total == p
-
-
-def test_evaluate_with_top_is_both_evaluations():
-    rng = random.Random(12)
-    monos = basis(10)
-    for _ in range(6):
-        p = QuasimodularPoly(
-            {m: Fraction(rng.randint(-5, 5), rng.randint(1, 7))
-             for m in rng.sample(monos, k=6)}
-        )
-        for w in (0, 6, 10, 12):
-            full, top = evaluate_with_top(p, w, 15)
-            assert full == evaluate(p, 15)
-            assert top == evaluate(graded_part(p, w), 15)
-    with pytest.raises(ValueError):
-        evaluate_with_top(p, 10, -1)
 
 
 # ------------------------------------------------------------------
@@ -443,6 +427,17 @@ def test_a_vanishing_leading_minor_raises(monkeypatch):
     assert _grown_state() == ([1], [[]], [[]])
 
 
+def _built_polynomial(g, j_plus, j_minus):
+    # sum c / (m-1)! D^i G_k over the blocks that top_weight_check sums,
+    # each block as the polynomial its integer series is evaluated from
+    den = factorial(j_plus + j_minus - 1)
+    return QuasimodularPoly(
+        (mono, Fraction(c, den) * x)
+        for c, i, k in necklace_blocks(g, j_plus, j_minus)
+        for mono, x in modfit._block_polynomial(i, k).terms.items()
+    )
+
+
 def test_construction_equals_fit_up_to_six():
     # uniqueness of the matching polynomial needs fit's full column rank,
     # so the construction is compared with fit where fit is affordable
@@ -453,7 +448,7 @@ def test_construction_equals_fit_up_to_six():
             order = len(basis(weight)) + 5
             for j_plus in range(1, m + 1):
                 s = necklace_coefficient_series(g, j_plus, m - j_plus, order)
-                assert fit(s, weight) == necklace_polynomial(
+                assert fit(s, weight) == _built_polynomial(
                     g, j_plus, m - j_plus
                 ), (g, j_plus, m - j_plus)
                 checks += 1
@@ -545,3 +540,63 @@ def test_only_modular_monomials_are_convolved(monkeypatch):
     # are products; the 3 generators and the 40 with G2 are not
     assert products == [57] * 9
     assert sorted(modfit._columns) == sorted(m for m in basis(18) if any(m))
+
+
+def test_generator_columns_are_the_scaled_eisenstein_series(monkeypatch):
+    # den_k * G_k from the constant term and qseries.divisor_sigmas
+    monkeypatch.setattr(modfit, "_columns", {})
+    for k, mono in ((2, (1, 0, 0)), (4, (0, 1, 0)), (6, (0, 0, 1))):
+        series = eisenstein(k, 100)
+        den = series.coeffs[0].denominator
+        assert modfit._column(mono, 100) == (
+            den, tuple(den * x for x in series.coeffs)
+        ), k
+
+
+def test_a_grown_block_equals_a_cold_one(monkeypatch):
+    # D^i G_k is n^i sigma_(k-1)(n) at q^n >= 1
+    monkeypatch.setattr(modfit, "_blocks", {})
+    for i, k in ((0, 8), (2, 12), (5, 10)):
+        assert len(modfit._block(i, k, 30)[1]) == 31
+        grown = modfit._block(i, k, 60)
+        monkeypatch.setattr(modfit, "_blocks", {})
+        monkeypatch.setattr(modfit, "_columns", {})
+        assert modfit._block(i, k, 60) == grown
+        den, ints = grown
+        sigmas = divisor_sigmas(k - 1, 60)
+        assert ints[1:] == tuple(den * n**i * x for n, x in enumerate(sigmas, 1))
+
+
+def test_the_top_weight_suite_evaluates_each_block_once(monkeypatch):
+    # every (i, k) that a split above weight 12 sums, at g, m <= 8, is
+    # summed on the columns exactly once, at the largest order asked for
+    monkeypatch.setattr(modfit, "_columns", {})
+    monkeypatch.setattr(modfit, "_blocks", {})
+    monkeypatch.setattr(modfit, "_lu", ([], [], []))
+    modfit._block_polynomial.cache_clear()
+    summed = []
+    integer_sum = modfit._integer_sum
+
+    def counted(terms, order):
+        summed.append(terms)
+        return integer_sum(terms, order)
+
+    monkeypatch.setattr(modfit, "_integer_sum", counted)
+    assert all(c.ok for c in suite_topweight(8, 8, None, None))
+    wanted = {
+        (i, k)
+        for g in range(1, 9)
+        for m in range(1, 9)
+        if 2 * g - 2 + 2 * m > 12
+        for j_plus in range(1, m + 1)
+        for _, i, k in necklace_blocks(g, j_plus, m - j_plus)
+    }
+    assert set(modfit._blocks) == wanted
+    evaluated = [
+        key
+        for terms in summed
+        for key in wanted
+        if terms is modfit._block_polynomial(*key)._terms
+    ]
+    assert sorted(evaluated) == sorted(wanted)
+    assert len(wanted) == 64

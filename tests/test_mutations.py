@@ -9,9 +9,10 @@ runs must fail.  Every memo of the package is cleared before and after
 each row, so no perturbed value survives it and none computed before it
 hides it.
 
-The construction rows perturb the built top-weight polynomial
-(modfit.necklace_polynomial): each constant of Ramanujan's equations in
-the derivation, and the k = 8 term of the Apostol recurrence.  Each must
+The construction rows perturb the blocks D^i G_k of the built top-weight
+polynomial (modfit.necklace_blocks, summed by modfit.block_sum): each
+constant of Ramanujan's equations in the derivation, and the k = 8 term
+of the Apostol recurrence.  Each must
 fail elliptic.top_weight at g = 4, m = 4 (weight 14, above the fitted
 weights) with j- = 0 and with j- >= 1, through the comparison of the
 built polynomial with the necklace series.  The kernel rows perturb one
@@ -42,7 +43,9 @@ MEMOS = (
     exact.double_factorial_odd,
     qseries.eisenstein,
     modfit._eisenstein_polynomial,
-    modfit._derivative,
+    modfit._block_polynomial,
+    modfit._necklace_coefficients,
+    modfit._sorted_basis,
     drcycle._dr3_rec,
     drcycle.dr_standard,
     socle._necklace_normalization,
@@ -57,6 +60,7 @@ def _clear_memos():
     del exact._bernoulli_cache[1:]
     modfit._eisenstein_constants.clear()
     modfit._columns.clear()
+    modfit._blocks.clear()
     for part in modfit._lu:
         part.clear()
 
@@ -112,8 +116,8 @@ def _string_and_relation_with_several_slots():
 def _extra_power_of_n(honest):
     # 2 n^m sigma_(2g-1)(n) / (m-1)! in place of 2 n^(m-1) sigma_(2g-1)(n) / (m-1)!
     def target(g, m, q_order):
-        c = honest(g, m, q_order).coeffs
-        return QSeries((c[0],) + tuple(n * c[n] for n in range(1, q_order + 1)))
+        den, c = honest(g, m, q_order)
+        return den, [c[0]] + [n * c[n] for n in range(1, q_order + 1)]
 
     return target
 
