@@ -261,35 +261,24 @@ def render_report(suite: str, checks: list[CheckResult], fmt: str, config: dict)
 
 
 def _rows_to_output(header, rows, fmt: str) -> str:
+    rows = [jsonable(list(r)) for r in rows]
     if fmt == "json":
-        return json.dumps(
-            [dict(zip(header, jsonable(list(r)))) for r in rows], indent=2
-        )
+        return json.dumps([dict(zip(header, r)) for r in rows], indent=2)
     if fmt == "csv":
         import csv  # here, not at import: most runs write no csv
 
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
-        for r in rows:
-            writer.writerow(jsonable(list(r)))
+        writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
-    widths = [
-        max(len(str(h)), *(len(str(jsonable(r[i]))) for r in rows)) if rows else len(str(h))
-        for i, h in enumerate(header)
-    ]
+    cells = [[str(v) for v in r] for r in [header, *rows]]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     out = [
-        "| " + " | ".join(str(h).ljust(w) for h, w in zip(header, widths)) + " |",
-        "|" + "|".join("-" * (w + 2) for w in widths) + "|",
+        "| " + " | ".join(v.ljust(w) for v, w in zip(r, widths)) + " |"
+        for r in cells
     ]
-    for r in rows:
-        out.append(
-            "| "
-            + " | ".join(
-                str(jsonable(v)).ljust(w) for v, w in zip(r, widths)
-            )
-            + " |"
-        )
+    out.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
     return "\n".join(out)
 
 
@@ -387,6 +376,8 @@ def cmd_table(args) -> int:
             for k in args.k
             for n in range(args.order + 1)
         ]
+    if not rows:
+        raise ValueError(f"table {args.kind!r} has no rows for these parameters")
     print(_rows_to_output(header, rows, args.format))
     return EXIT_OK
 

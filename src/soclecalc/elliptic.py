@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import add, index, mul
 
 from .exact import bernoulli, factorial
@@ -152,10 +151,18 @@ def necklace_coefficient_series(
     Rewriting -a/(1-q^(-a)) = a q^a/(1-q^a) for a > 0 turns every term
     into a^(2g-2+m) q^(a j_minus) (1-q^a)^(-m), and the a < 0 branch is
     the mirror starting at q^(a j_plus), so each coefficient is a finite
-    sum.  When j_minus = 0 the a > 0 branch has a divergent constant
-    stratum: that q^0 coefficient is marked unknown and every q^n
-    coefficient with n >= 1 stays exact.
+    sum (_necklace_row).  When j_minus = 0 the a > 0 branch has a
+    divergent constant stratum: that q^0 coefficient is marked unknown
+    and every q^n coefficient with n >= 1 stays exact.
     """
+    row = _necklace_row(g, j_plus, j_minus, q_order)
+    return QSeries(row, constant_known=j_minus >= 1)
+
+
+def _necklace_row(g: int, j_plus: int, j_minus: int, q_order: int) -> list[int]:
+    """The q^0 .. q^order coefficients of necklace_coefficient_series as
+    integers.  The q^0 entry is 0: the constant when j_minus >= 1, and a
+    placeholder for the unknown one when j_minus = 0."""
     g, j_plus, j_minus, q_order = map(index, (g, j_plus, j_minus, q_order))
     if g < 1 or j_plus < 1 or j_minus < 0:
         raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
@@ -175,7 +182,7 @@ def necklace_coefficient_series(
     for a in range(1, q_order + 1):
         terms = map(mul, repeat(a ** (2 * g - 2 + m)), r[1 : q_order // a + 1])
         coeffs[a::a] = map(add, coeffs[a::a], terms)
-    return QSeries(tuple(map(Fraction, coeffs)), constant_known=j_minus >= 1)
+    return coeffs
 
 
 def _top_weight_target(g: int, m: int, q_order: int) -> tuple[int, list[int]]:
@@ -192,17 +199,10 @@ def _top_weight_target(g: int, m: int, q_order: int) -> tuple[int, list[int]]:
     ]
 
 
-def _integers(series: QSeries) -> tuple[int, list[int]]:
-    """(den, den * the coefficients of series), den the lcm of their
-    denominators (1 for the necklace series, which is integral)."""
-    coeffs = series.coeffs
-    den = lcm(*(x.denominator for x in coeffs))
-    return den, [x.numerator * (den // x.denominator) for x in coeffs]
-
-
 def _first_miss(lhs, rhs, start: int = 0) -> int | None:
     """The first n >= start at which two series given as (den, den * the
-    coefficients) differ, by cross-multiplying integers, or None."""
+    coefficients) differ, by cross-multiplying, or None.  The entries are
+    integers, but for the fit's top part: evaluate's Fractions over 1."""
     (a, xs), (b, ys) = lhs, rhs
     return next((n for n in range(start, len(ys)) if xs[n] * b != a * ys[n]), None)
 
@@ -227,38 +227,37 @@ def top_weight_check(
     must equal the series at every q-power, q^0 only when j_minus >= 1,
     and its top graded part is the sum of its blocks D^i G_k of the top
     weight k + 2i.  Either needs an order that leaves fit its surplus
-    rows (else ValueError).  Every comparison is made in integers by
-    _first_miss; only a witness is a Fraction.
+    rows (else ValueError).  Above _FIT_MAX_WEIGHT every comparison is
+    made in integers by _first_miss, against the series' integer row
+    (_necklace_row, which no QSeries carries here); only the fit needs a
+    QSeries.  Each witness is a Fraction.
     """
     m = j_plus + j_minus
     top_weight = 2 * g - 2 + 2 * m
     params = {"g": g, "j_plus": j_plus, "j_minus": j_minus, "q_order": q_order}
-    series = necklace_coefficient_series(g, j_plus, j_minus, q_order)
     if top_weight <= _FIT_MAX_WEIGHT:
+        series = necklace_coefficient_series(g, j_plus, j_minus, q_order)
         result = fit(series, top_weight)
         if isinstance(result, FitInconsistency):
             return failed(
                 "elliptic.top_weight", {"fit_inconsistency": str(result)}, **params
             )
-        top = _integers(evaluate(graded_part(result, top_weight), q_order))
+        top = 1, evaluate(graded_part(result, top_weight), q_order).coeffs
     else:
+        row = _necklace_row(g, j_plus, j_minus, q_order)
         _fit_monomials(top_weight, q_order)  # fit's order precondition
         blocks = necklace_blocks(g, j_plus, j_minus)
-        scale = factorial(m - 1)
-        den, built = block_sum(blocks, scale, q_order)
-        start = 0 if series.constant_known else 1
-        n = _first_miss((den, built), _integers(series), start)
+        den, built = block_sum(blocks, q_order)
+        n = _first_miss((den, built), (1, row), 0 if j_minus else 1)
         if n is not None:
             witness = {
                 "construction_q_power": n,
                 "construction": Fraction(built[n], den),
-                "series": series.coeffs[n],
+                "series": Fraction(row[n]),
             }
             return failed("elliptic.top_weight", witness, **params)
         top = block_sum(
-            [(c, i, k) for c, i, k in blocks if k + 2 * i == top_weight],
-            scale,
-            q_order,
+            [(c, i, k) for c, i, k in blocks if k + 2 * i == top_weight], q_order
         )
     target = _top_weight_target(g, m, q_order)
     n = _first_miss(top, target)

@@ -10,10 +10,12 @@ Both directions work on integer columns, one store for all of them:
 24^a 240^b 504^c G2^a G4^b G6^c for every monomial, grown to the largest
 order asked for (_column).  A block's integer series is summed once on
 the columns and kept in a second store (_block), so a necklace series is
-a short integer sum over blocks (block_sum).  Each recognition matrix's
-leading square block is a leading block of the larger ones, so one
-fraction-free LU factorization, grown to the largest block asked for,
-serves every fit (_solve); evaluating its block's solution on the
+a short integer sum over blocks (block_sum).  One function,
+_integer_sum, adds coefficient/scale times integer series over one lcm
+denominator, on the columns and on the blocks alike.  Each recognition
+matrix's leading square block is a leading block of the larger ones, so
+one fraction-free LU factorization, grown to the largest block asked
+for, serves every fit (_solve); evaluating its block's solution on the
 columns, as evaluate does, accepts it or names the first q-power it
 misses.
 """
@@ -221,24 +223,27 @@ def evaluate(p: QuasimodularPoly, order: int) -> QSeries:
     """Substitute the Eisenstein q-expansions and expand exactly: the sum
     of coeff/scale times the integer column of each monomial, over one
     common denominator."""
-    den, total = _integer_sum(p._terms, order)
+    den, total = _integer_sum(p._terms, _column, order)
     return QSeries(tuple(Fraction(t, den) for t in total))
 
 
-def _integer_sum(terms, order: int) -> tuple[int, list[int]]:
-    """(den, den * the q^0 .. q^order coefficients of the sum of the
-    terms), den the lcm of the denominators of each coeff/scale."""
+def _integer_sum(terms, series, order: int) -> tuple[int, list[int]]:
+    """(den, den * the q^0 .. q^order coefficients of sum coeff/scale * ints
+    over the (key, coeff) of terms, with (scale, ints) = series(key, order)),
+    den the lcm of the denominators of each coeff/scale.  The one integer
+    sum of the module: on the columns (evaluate, fit, _block) and on the
+    blocks (block_sum)."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     scaled = []
-    for mono, coeff in terms:
-        scale, col = _column(mono, order)
-        scaled.append((coeff / scale, col))
+    for key, coeff in terms:
+        scale, ints = series(key, order)
+        scaled.append((Fraction(coeff, scale), ints))
     den = lcm(*(c.denominator for c, _ in scaled))
     total = [0] * (order + 1)
-    for c, col in scaled:
+    for c, ints in scaled:
         x = c.numerator * (den // c.denominator)
-        total = [t + x * y for t, y in zip(total, col)]
+        total = [t + x * y for t, y in zip(total, ints)]
     return den, total
 
 
@@ -347,14 +352,14 @@ def _block(i: int, k: int, order: int) -> tuple[int, tuple[int, ...]]:
     _integer_sum once, and again only when a larger order is asked for."""
     block = _blocks.get((i, k))
     if block is None or len(block[1]) <= order:
-        den, ints = _integer_sum(_block_polynomial(i, k)._terms, order)
+        den, ints = _integer_sum(_block_polynomial(i, k)._terms, _column, order)
         block = _blocks[i, k] = den, tuple(ints)
     return block
 
 
 @lru_cache(maxsize=None)
-def _necklace_coefficients(j_plus: int, j_minus: int) -> tuple[int, ...]:
-    """(m-1)! c_i for i = 0 .. m-1, m = j_plus + j_minus, with
+def _necklace_coefficients(j_plus: int, j_minus: int) -> tuple[Fraction, ...]:
+    """c_i for i = 0 .. m-1, m = j_plus + j_minus, with
     P(n) = sum_i c_i n^i = C(n - j_minus + m - 1, m - 1)
     + C(n - j_plus + m - 1, m - 1): each binomial times (m-1)! is the
     integer polynomial (n - start + 1) ... (n - start + m - 1)."""
@@ -365,49 +370,46 @@ def _necklace_coefficients(j_plus: int, j_minus: int) -> tuple[int, ...]:
         for t in range(1 - start, m - start):
             binom = [t * x + y for x, y in zip(binom + [0], [0] + binom)]
         c = list(map(add, c, binom))
-    return tuple(c)
+    return tuple(Fraction(x, factorial(m - 1)) for x in c)
 
 
-def necklace_blocks(g: int, j_plus: int, j_minus: int) -> list[tuple[int, int, int]]:
+def necklace_blocks(
+    g: int, j_plus: int, j_minus: int
+) -> list[tuple[Fraction, int, int]]:
     """The polynomial of elliptic.necklace_coefficient_series, built, not
     recognized (Oberdieck-Pixton: the series is quasimodular), as the
-    (c, i, k) of its blocks: it is sum c / (m-1)! D^i G_k over them.
+    (c_i, i, k) of its blocks: it is sum c_i D^i G_k over them.
 
     With m = j_plus + j_minus and K = 2g - 2 + m the series is
     sum_{a, n >= 1} a^K P(n) q^(an), where P(n) = sum_i c_i n^i is
     C(n - j_minus + m - 1, m - 1) + C(n - j_plus + m - 1, m - 1) (each
     binomial vanishes below its branch's first term), so beyond q^0 it
-    is sum_i c_i D^i G_(K-i+1); c = (m-1)! c_i (_necklace_coefficients),
-    and only the nonzero ones are listed.  A nonzero c_i with K - i + 1
-    odd raises ArithmeticError.  No block is the constant monomial:
+    is sum_i c_i D^i G_(K-i+1); the c_i (_necklace_coefficients) are the
+    polynomial's own Fraction coefficients, the same for every genus, and
+    only the nonzero ones are listed.  A nonzero c_i with K - i + 1 odd
+    raises ArithmeticError.  No block is the constant monomial:
     c_0 = P(0) is nonzero only when j_minus = 0, whose q^0 coefficient
     the series leaves unknown.
     """
     if g < 1 or j_plus < 1 or j_minus < 0:
         raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
-    m = j_plus + j_minus
     terms = []
     for i, c in enumerate(_necklace_coefficients(j_plus, j_minus)):
-        k = 2 * g - 1 + m - i
+        k = 2 * g - 1 + j_plus + j_minus - i
         if c and k % 2:
-            ci = Fraction(c, factorial(m - 1))
-            raise ArithmeticError(f"c_{i} = {ci} would multiply D^{i} G_{k}")
+            raise ArithmeticError(f"c_{i} = {c} would multiply D^{i} G_{k}")
         if c:
             terms.append((c, i, k))
     return terms
 
 
-def block_sum(terms, den: int, order: int) -> tuple[int, list[int]]:
-    """(D, D * the q^0 .. q^order coefficients of sum c / den D^i G_k over
-    the (c, i, k) of terms), D = den times the lcm of the blocks'
-    denominators: each block's integer series comes from _block."""
-    blocks = [(c, _block(i, k, order)) for c, i, k in terms]
-    common = lcm(*(d for _, (d, _) in blocks))
-    total = [0] * (order + 1)
-    for c, (d, ints) in blocks:
-        x = c * (common // d)
-        total = [t + x * y for t, y in zip(total, ints)]
-    return den * common, total
+def block_sum(terms, order: int) -> tuple[int, list[int]]:
+    """(den, den * the q^0 .. q^order coefficients of sum c D^i G_k over
+    the (c, i, k) of terms): _integer_sum on each block's integer series
+    from _block."""
+    return _integer_sum(
+        (((i, k), c) for c, i, k in terms), lambda key, n: _block(*key, n), order
+    )
 
 
 def _fit_monomials(max_weight: int, order: int) -> list[Monomial]:
@@ -465,7 +467,7 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
         m: Fraction(scale * x, den * det) for m, (scale, _), x in zip(monos, cols, w)
     }
     # evaluated as evaluate does it, q^n misses s where row q^n misses
-    vden, values = _integer_sum(terms.items(), s.order)
+    vden, values = _integer_sum(terms.items(), _column, s.order)
     miss = next((n for n in powers if values[n] != vden * s.coeffs[n]), None)
     if miss:
         return FitInconsistency(miss, max_weight)

@@ -209,6 +209,15 @@ def test_verify_without_checks_exits_one(capsys):
     assert "ran no checks" in err
 
 
+def test_table_without_rows_exits_one(capsys):
+    # no genus g >= 1 is at most 0, so the socle table has no row
+    code, out, err = run(capsys, "table", "socle", "--g-max", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("soclecalc table: error:")
+    assert "has no rows" in err
+
+
 def test_verify_all_deterministic_given_seed(capsys):
     code1, out1, _ = run(
         capsys, "verify", "all", "--g-max", "3", "--format", "json", "--seed", "7"

@@ -334,18 +334,42 @@ def test_top_weight_failures_carry_their_witnesses(monkeypatch):
             "fit_inconsistency": str(FitInconsistency(q_order, top_weight))
         }
         assert res.witness["fit_inconsistency"].endswith(f"at q^{q_order}")
-    # above weight 12 the built polynomial is compared with the series;
-    # (5, 3, 0) has an odd m, so its built polynomial has a nonzero q^0
-    # value, the regularized constant the series leaves unknown
+    # above weight 12 the built polynomial is compared with the series'
+    # integer row, which no QSeries carries; (5, 3, 0) has an odd m, so
+    # its built polynomial has a nonzero q^0 value, the regularized
+    # constant the series leaves unknown
+    honest_row = elliptic._necklace_row
+
+    def last_entry_plus_one(g, j_plus, j_minus, q_order):
+        row = honest_row(g, j_plus, j_minus, q_order)
+        return row[:-1] + [row[-1] + 1]
+
+    monkeypatch.setattr(elliptic, "_necklace_row", last_entry_plus_one)
     for g, j_plus, j_minus in ((4, 2, 2), (5, 3, 0)):
         q_order = len(basis(14)) + 5
         res = top_weight_check(g, j_plus, j_minus, q_order)
-        value = honest(g, j_plus, j_minus, q_order).coeffs[q_order]
+        value = honest_row(g, j_plus, j_minus, q_order)[q_order]
         assert res.witness == {
             "construction_q_power": q_order,
             "construction": value,
             "series": value + 1,
         }
+        # both values stay Fractions: jsonable writes an int without "/1"
+        assert type(res.witness["construction"]) is Fraction
+        assert type(res.witness["series"]) is Fraction
+
+
+def test_the_built_path_builds_no_qseries(monkeypatch):
+    # above weight 12 the necklace series reaches the check as its
+    # integer row: every split of g = m = 4 (weight 14) passes with
+    # QSeries unusable in elliptic
+    def refused(*args, **kwargs):
+        raise AssertionError("the built top-weight path built a QSeries")
+
+    monkeypatch.setattr(elliptic, "QSeries", refused)
+    checks = suite_topweight(4, 4, 4, 4)
+    assert [c.params["j_plus"] for c in checks] == [1, 2, 3, 4]
+    assert all(c.ok for c in checks)
 
 
 def test_top_weight_order_precondition():

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 import pytest
 
@@ -428,11 +427,10 @@ def test_a_vanishing_leading_minor_raises(monkeypatch):
 
 
 def _built_polynomial(g, j_plus, j_minus):
-    # sum c / (m-1)! D^i G_k over the blocks that top_weight_check sums,
-    # each block as the polynomial its integer series is evaluated from
-    den = factorial(j_plus + j_minus - 1)
+    # sum c D^i G_k over the blocks that top_weight_check sums, each block
+    # as the polynomial its integer series is evaluated from
     return QuasimodularPoly(
-        (mono, Fraction(c, den) * x)
+        (mono, c * x)
         for c, i, k in necklace_blocks(g, j_plus, j_minus)
         for mono, x in modfit._block_polynomial(i, k).terms.items()
     )
@@ -451,6 +449,33 @@ def test_construction_equals_fit_up_to_six():
                 assert fit(s, weight) == _built_polynomial(
                     g, j_plus, m - j_plus
                 ), (g, j_plus, m - j_plus)
+                checks += 1
+    assert checks == 126
+
+
+def test_block_sum_equals_the_evaluated_construction_up_to_six():
+    # the one integer sum, taken on the blocks (block_sum) and on the
+    # columns (evaluate of the built polynomial), at every q-power; the
+    # top-weight blocks are the built polynomial's top graded part
+    order = 20
+    checks = 0
+    for g in range(1, 7):
+        for m in range(1, 7):
+            weight = 2 * g - 2 + 2 * m
+            for j_plus in range(1, m + 1):
+                blocks = necklace_blocks(g, j_plus, m - j_plus)
+                built = _built_polynomial(g, j_plus, m - j_plus)
+                for terms, p in (
+                    (blocks, built),
+                    (
+                        [(c, i, k) for c, i, k in blocks if k + 2 * i == weight],
+                        graded_part(built, weight),
+                    ),
+                ):
+                    den, ints = modfit.block_sum(terms, order)
+                    assert [Fraction(x, den) for x in ints] == list(
+                        evaluate(p, order).coeffs
+                    ), (g, j_plus, m - j_plus)
                 checks += 1
     assert checks == 126
 
@@ -577,9 +602,10 @@ def test_the_top_weight_suite_evaluates_each_block_once(monkeypatch):
     summed = []
     integer_sum = modfit._integer_sum
 
-    def counted(terms, order):
-        summed.append(terms)
-        return integer_sum(terms, order)
+    def counted(terms, series, order):
+        if series is modfit._column:
+            summed.append(terms)
+        return integer_sum(terms, series, order)
 
     monkeypatch.setattr(modfit, "_integer_sum", counted)
     assert all(c.ok for c in suite_topweight(8, 8, None, None))

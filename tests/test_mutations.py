@@ -10,12 +10,15 @@ each row, so no perturbed value survives it and none computed before it
 hides it.
 
 The construction rows perturb the blocks D^i G_k of the built top-weight
-polynomial (modfit.necklace_blocks, summed by modfit.block_sum): each
+polynomial (modfit.necklace_blocks, with the polynomial's own Fraction
+coefficients, summed by modfit.block_sum through modfit._integer_sum,
+the one integer sum that also evaluates each block on the columns): each
 constant of Ramanujan's equations in the derivation, and the k = 8 term
-of the Apostol recurrence.  Each must
-fail elliptic.top_weight at g = 4, m = 4 (weight 14, above the fitted
-weights) with j- = 0 and with j- >= 1, through the comparison of the
-built polynomial with the necklace series.  The kernel rows perturb one
+of the Apostol recurrence.  Each must fail elliptic.top_weight at g = 4,
+m = 4 (weight 14, above the fitted weights) with j- = 0 and with
+j- >= 1, through the comparison of the built polynomial with the
+necklace series' integer row (elliptic._necklace_row, which no QSeries
+carries on this path).  The kernel rows perturb one
 value of a shared sequence or constant; the Apostol row there is the
 construction row's perturbation, caught on the socle side through
 Faber's constant.
