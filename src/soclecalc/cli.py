@@ -15,6 +15,7 @@ import json
 import random
 import sys
 from collections.abc import Iterator
+from math import comb
 
 from .drcycle import dr3_bssz_check, dr3_closed, dr3_recursive, dr_standard
 from .elliptic import (
@@ -157,9 +158,31 @@ def suite_dr(g_max: int) -> list[CheckResult]:
     return checks
 
 
+# most lists _positive_lists yields: a string or relation check takes
+# about 45-110 microseconds per list (Python 3.11.7, 2 vCPUs), so about
+# 10 s of work
+_MAX_LISTS = 100_000
+
+
+def _positive_list_count(g_max: int, n_max: int) -> int:
+    # compositions of g-1 into n parts, summed over g <= g_max, n <= n_max
+    return sum(
+        comb(g + n - 2, n - 1)
+        for g in range(1, g_max + 1)
+        for n in range(1, n_max + 1)
+    )
+
+
 def _positive_lists(g_max: int, n_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     # (g, d) with g <= g_max and d all-positive, n <= n_max parts and
-    # sum(d) = g-1+n: the domain where the zero-appended query is canonical
+    # sum(d) = g-1+n: the domain where the zero-appended query is canonical;
+    # more than _MAX_LISTS raise ValueError before the first is yielded
+    count = _positive_list_count(g_max, n_max)
+    if count > _MAX_LISTS:
+        raise ValueError(
+            f"g <= {g_max} with n <= {n_max} parts gives {count} exponent "
+            f"lists; the limit is {_MAX_LISTS}"
+        )
     for g in range(1, g_max + 1):
         for n in range(1, n_max + 1):
             for c in compositions(g - 1, n):

@@ -187,15 +187,15 @@ def _necklace_row(g: int, j_plus: int, j_minus: int, q_order: int) -> list[int]:
 
 def _top_weight_target(g: int, m: int, q_order: int) -> tuple[int, list[int]]:
     """(den, den * the q^0 .. q^order coefficients) of
-    (2/(m-1)!) (q d/dq)^(m-1) G_2g, coefficient by coefficient: the q^n
-    coefficient is 2 n^(m-1) sigma_(2g-1)(n) / (m-1)! for n >= 1, and
-    the q^0 coefficient is 2 [q^0]G_2g = -B_2g/(2g) when m = 1, else 0;
-    den is (m-1)! times the denominator of that constant."""
-    constant = -bernoulli(2 * g) / (2 * g) if m == 1 else Fraction(0)
+    (2/(m-1)!) (q d/dq)^(m-1) G_2g, read off the memoized
+    eisenstein(2g, q_order): 2 n^(m-1) [q^n]G_2g / (m-1)! at q^n, n >= 1,
+    with [q^n]G_2g the integer sigma_(2g-1)(n), and 2 [q^0]G_2g at q^0
+    when m = 1, else 0; den is (m-1)! times that constant's denominator."""
+    coeffs = eisenstein(2 * g, q_order).coeffs
+    constant = 2 * coeffs[0] if m == 1 else Fraction(0)
     x = 2 * constant.denominator
-    sigmas = divisor_sigmas(2 * g - 1, q_order)
     return factorial(m - 1) * constant.denominator, [constant.numerator] + [
-        x * n ** (m - 1) * s for n, s in enumerate(sigmas, 1)
+        x * n ** (m - 1) * s.numerator for n, s in enumerate(coeffs[1:], 1)
     ]
 
 

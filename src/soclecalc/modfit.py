@@ -125,16 +125,12 @@ class FitInconsistency(_Frozen):
         )
 
 
-def basis(max_weight: int) -> list[Monomial]:
-    """All exponent triples of weight <= max_weight, graded lexicographic;
-    a new list each call, copied from _sorted_basis."""
+@lru_cache(maxsize=None)
+def basis(max_weight: int) -> tuple[Monomial, ...]:
+    """All exponent triples of weight <= max_weight, graded lexicographic,
+    the constant monomial first; one memoized tuple per weight bound."""
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
-    return list(_sorted_basis(max_weight))
-
-
-@lru_cache(maxsize=None)
-def _sorted_basis(max_weight: int) -> tuple[Monomial, ...]:
     out = []
     for c in range(max_weight // 6 + 1):
         for b in range((max_weight - 6 * c) // 4 + 1):
@@ -261,8 +257,8 @@ def _apostol_terms(k: int) -> list[tuple[Fraction, int, int]]:
     elliptic.weierstrass_expansion,
         (2n+1)(n-3) c_n = 3 sum_{i=2}^{n-2} c_i c_(n-i),
     solved for G_k, k = 2n, with the terms i and n-i taken together
-    (w = 2i).  The one home of the recurrence: _eisenstein_polynomial and
-    _eisenstein_constant both read it."""
+    (w = 2i).  The one home of the recurrence: _block_polynomial (G_k
+    as its i = 0 case) and _eisenstein_constant both read it."""
     # term i is 6 (k-2)! / ((k+1)(n-3) (2i-2)! (k-2i-2)!), one binomial
     # C(k-4, 2i-2) since (2i-2) + (k-2i-2) = k-4, stepped along its row
     # two entries at a time; for i < n/2 it also stands for the equal term
@@ -277,20 +273,6 @@ def _apostol_terms(k: int) -> list[tuple[Fraction, int, int]]:
         x = Fraction(num * binom, den)
         terms.append((x if 2 * i == n else 2 * x, 2 * i, k - 2 * i))
     return terms
-
-
-@lru_cache(maxsize=None)
-def _eisenstein_polynomial(k: int) -> QuasimodularPoly:
-    """G_k, k >= 2 even, as a polynomial: G2, G4, G6 are generators, and
-    G_k (k >= 8) comes from G4 and G6 by _apostol_terms."""
-    if k <= 6:
-        return QuasimodularPoly({(k == 2, k == 4, k == 6): 1})
-    return QuasimodularPoly(
-        (tuple(map(add, m1, m2)), x * x1 * x2)
-        for x, i, j in _apostol_terms(k)
-        for m1, x1 in _eisenstein_polynomial(i)._terms
-        for m2, x2 in _eisenstein_polynomial(j)._terms
-    )
 
 
 # [q^0]G_2, [q^0]G_4, ..: entry i is [q^0]G_(2i+2), grown by
@@ -335,11 +317,19 @@ def _derivative(p: QuasimodularPoly) -> QuasimodularPoly:
 
 @lru_cache(maxsize=None)
 def _block_polynomial(i: int, k: int) -> QuasimodularPoly:
-    """The block D^i G_k as a polynomial, homogeneous of weight k + 2i:
-    G_k from _eisenstein_polynomial, then i passes of _derivative."""
-    if not i:
-        return _eisenstein_polynomial(k)
-    return _derivative(_block_polynomial(i - 1, k))
+    """The block D^i G_k, k >= 2 even, as a polynomial of weight k + 2i;
+    the one builder of every block.  G_k is its i = 0 case: a generator
+    for k <= 6, else the products of _apostol_terms(k) over i = 0 blocks."""
+    if i:
+        return _derivative(_block_polynomial(i - 1, k))
+    if k <= 6:
+        return QuasimodularPoly({(k == 2, k == 4, k == 6): 1})
+    return QuasimodularPoly(
+        (tuple(map(add, m1, m2)), x * x1 * x2)
+        for x, w, v in _apostol_terms(k)
+        for m1, x1 in _block_polynomial(0, w)._terms
+        for m2, x2 in _block_polynomial(0, v)._terms
+    )
 
 
 # (i, k) -> (den, den * D^i G_k up to at least q^order as integers), grown
@@ -412,13 +402,13 @@ def block_sum(terms, order: int) -> tuple[int, list[int]]:
     )
 
 
-def _fit_monomials(max_weight: int, order: int) -> list[Monomial]:
+def _fit_monomials(max_weight: int, order: int) -> tuple[Monomial, ...]:
     """The monomials a fit at max_weight solves for, all but 1; ValueError
     unless the rows q^1 .. q^order leave _MARGIN surplus rows (a fit that
     merely interpolates proves nothing)."""
     if max_weight < 0 or max_weight % 2:
         raise ValueError(f"max_weight must be even and >= 0, got {max_weight}")
-    monos = [m for m in basis(max_weight) if m != (0, 0, 0)]
+    monos = basis(max_weight)[1:]
     surplus = order - len(monos)
     if surplus < _MARGIN:
         raise ValueError(
@@ -441,9 +431,9 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     coefficient, or the first q-power it misses is the witness.
 
     Growing _lu costs O(C^3) steps on minors that grow with its C
-    columns: from empty it took 0.1 s at weight 18, 1.3 s at 22 and
-    11 s at 26 (CPython 3.11, 2 vCPUs), so elliptic.top_weight_check
-    fits only up to weight 12 and builds the heavier polynomials.
+    columns: from empty it took 0.1 s at weight 18, 1.0-1.3 s at 22 and
+    11 s at 26 (CPython 3.11, 2 vCPUs).  elliptic.top_weight_check fits
+    up to its _FIT_MAX_WEIGHT and builds the heavier polynomials.
 
     With s.constant_known the coefficient of 1 is s[0] minus the
     candidate's q^0 value, read off that evaluation.  Without it (a

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from soclecalc.cli import main
-from soclecalc.socle import _MAX_ZEROS
+from soclecalc.cli import _MAX_LISTS, _positive_list_count, _positive_lists, main
+from soclecalc.socle import _MAX_QUERIES, _MAX_ZEROS, _query_count
 
 
 def run(capsys, *argv):
@@ -87,6 +88,48 @@ def test_socle_zero_limit(capsys):
     assert code == 1
     assert out == ""
     assert f"at most {_MAX_ZEROS} zero exponents, got {_MAX_ZEROS + 1}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("verify", "string", "--g-max", "100"), 96_560_645),
+        (("verify", "relation", "--g-max", "12", "--m-max", "12"), 2_704_155),
+    ],
+)
+def test_positive_list_limit(capsys, argv, count):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (1, "")
+    assert f"gives {count} exponent lists; the limit is {_MAX_LISTS}" in err
+
+
+def test_verify_all_stops_at_the_positive_list_limit(capsys):
+    # the dr and string suites run first; the relation suite refuses
+    code, out, err = run(capsys, "verify", "all", "--g-max", "12", "--m-max", "12")
+    assert (code, out) == (1, "")
+    assert f"gives 2704155 exponent lists; the limit is {_MAX_LISTS}" in err
+
+
+def test_positive_list_count_is_the_listing_length():
+    for g_max in range(7):
+        for n_max in range(7):
+            count = _positive_list_count(g_max, n_max)
+            assert count == len(list(_positive_lists(g_max, n_max)))
+    # the default run and the benchmark stay far below the limit
+    assert _positive_list_count(6, 6) == 923
+    assert _positive_list_count(6, 5) == 461
+
+
+def test_socle_table_limit(capsys):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "table", "socle", "--g-max", "30", "--n-max", "30")
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (1, "")
+    assert f"gives 29359834 socle queries; the limit is {_MAX_QUERIES}" in err
+    # CI's g, n <= 16 pin stays below the limit
+    assert _query_count(16, 16) == 115_956 <= _MAX_QUERIES
 
 
 def test_unknown_usage_exits_one(capsys):

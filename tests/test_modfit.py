@@ -35,12 +35,16 @@ def _partition_count_246(v):
 
 
 def test_basis_small_weights():
-    assert basis(0) == [(0, 0, 0)]
-    assert basis(2) == [(0, 0, 0), (1, 0, 0)]
-    assert basis(4) == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]
+    assert basis(0) == ((0, 0, 0),)
+    assert basis(2) == ((0, 0, 0), (1, 0, 0))
+    assert basis(4) == ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0))
     b6 = basis(6)
     assert b6[:4] == basis(4)
-    assert b6[4:] == [(3, 0, 0), (1, 1, 0), (0, 0, 1)]
+    assert b6[4:] == ((3, 0, 0), (1, 1, 0), (0, 0, 1))
+
+
+def test_basis_is_one_memo_per_weight():
+    assert basis(12) is basis(12)
 
 
 def test_basis_dimension_matches_partition_counts():

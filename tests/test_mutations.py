@@ -7,27 +7,33 @@ that binds it), the checks to run, the check names they report, and a
 key of the witness that locates the mismatch.  Every check the row
 runs must fail.  Every memo of the package is cleared before and after
 each row, so no perturbed value survives it and none computed before it
-hides it.
+hides it: MEMOS and the stores of _clear_memos, and a test checks that
+MEMOS names every object with cache_clear that a soclecalc module binds,
+so a memo added later cannot slip past the rows.
 
 The construction rows perturb the blocks D^i G_k of the built top-weight
 polynomial (modfit.necklace_blocks, with the polynomial's own Fraction
-coefficients, summed by modfit.block_sum through modfit._integer_sum,
-the one integer sum that also evaluates each block on the columns): each
-constant of Ramanujan's equations in the derivation, and the k = 8 term
-of the Apostol recurrence.  Each must fail elliptic.top_weight at g = 4,
-m = 4 (weight 14, above the fitted weights) with j- = 0 and with
-j- >= 1, through the comparison of the built polynomial with the
-necklace series' integer row (elliptic._necklace_row, which no QSeries
-carries on this path).  The kernel rows perturb one
-value of a shared sequence or constant; the Apostol row there is the
-construction row's perturbation, caught on the socle side through
-Faber's constant.
+coefficients, each block built once by modfit._block_polynomial, G_k as
+its D^0 case, and summed by modfit.block_sum through
+modfit._integer_sum, the one integer sum that also evaluates each block
+on the columns): each constant of Ramanujan's equations in the
+derivation, and the k = 8 term of the Apostol recurrence.  Each must
+fail elliptic.top_weight at g = 4, m = 4 (weight 14, above the fitted
+weights) with j- = 0 and with j- >= 1, through the comparison of the
+built polynomial with the necklace series' integer row
+(elliptic._necklace_row, which no QSeries carries on this path).  The
+kernel rows perturb one value of a shared sequence or constant; the
+Apostol row there is the construction row's perturbation, caught on the
+socle side through Faber's constant.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import soclecalc
 from soclecalc import cli, drcycle, elliptic, exact, modfit, qseries, socle
 from soclecalc.elliptic import top_weight_check
 from soclecalc.elliptic import check_propagator_identity
@@ -45,10 +51,9 @@ MODULES = (exact, qseries, modfit, elliptic, drcycle, socle, cli)
 MEMOS = (
     exact.double_factorial_odd,
     qseries.eisenstein,
-    modfit._eisenstein_polynomial,
+    modfit.basis,
     modfit._block_polynomial,
     modfit._necklace_coefficients,
-    modfit._sorted_basis,
     drcycle._dr3_rec,
     drcycle.dr_standard,
     socle._necklace_normalization,
@@ -150,7 +155,7 @@ CONSTRUCTION_ROWS = {
 
 # label -> (module, name, perturbation, checks, check name(s), witness key)
 KERNEL_ROWS = {
-    # the m = 1 target constant 2 [q^0]G_8
+    # the m = 1 target constant 2 [q^0]G_8, read off qseries.eisenstein
     "B_8 doubled": (
         exact, "bernoulli", _doubled_at(8),
         lambda: [top_weight_check(4, 1, 0, len(basis(8)) + 5)],
@@ -233,6 +238,21 @@ def _assert_caught(home, name, perturb, checks, check_name, key, patch):
     finally:
         _clear_memos()
     assert all(r.ok for r in checks())
+
+
+def test_memos_name_every_memo_of_the_package():
+    # a memo missing here would carry a perturbed value from one row into
+    # the next, so every object with cache_clear that a module binds is in it
+    bound = {
+        f"{info.name}.{name}": value
+        for info in pkgutil.iter_modules(soclecalc.__path__)
+        for name, value in vars(
+            importlib.import_module(f"soclecalc.{info.name}")
+        ).items()
+        if hasattr(value, "cache_clear")
+    }
+    assert bound
+    assert [name for name, memo in bound.items() if memo not in MEMOS] == []
 
 
 @pytest.mark.parametrize("row", CONSTRUCTION_ROWS)

@@ -197,6 +197,13 @@ def test_iter_socle_queries_census():
     assert sum(1 for q in allq if q.d.count(0) <= 1) == 133
 
 
+def test_query_count_is_the_listing_length():
+    for g_max in range(9):
+        for n_max in range(1, 9):
+            count = socle._query_count(g_max, n_max)
+            assert count == len(list(iter_socle_queries(g_max, n_max)))
+
+
 def _filtered_listing(g_max, n_max, max_zeros=None):
     # reference enumeration: every descending tuple over 0..g-2+n, kept
     # when it sums to g-2+n
