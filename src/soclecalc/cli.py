@@ -173,27 +173,38 @@ def _positive_list_count(g_max: int, n_max: int) -> int:
     )
 
 
-def _positive_lists(g_max: int, n_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    # (g, d) with g <= g_max and d all-positive, n <= n_max parts and
-    # sum(d) = g-1+n: the domain where the zero-appended query is canonical;
-    # more than _MAX_LISTS raise ValueError before the first is yielded
+def _check_list_limit(g_max: int, n_max: int) -> None:
+    # ValueError when _positive_lists(g_max, n_max) would pass _MAX_LISTS
     count = _positive_list_count(g_max, n_max)
     if count > _MAX_LISTS:
         raise ValueError(
             f"g <= {g_max} with n <= {n_max} parts gives {count} exponent "
             f"lists; the limit is {_MAX_LISTS}"
         )
+
+
+def _positive_lists(g_max: int, n_max: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    # (g, d) with g <= g_max and d all-positive, n <= n_max parts and
+    # sum(d) = g-1+n: the domain where the zero-appended query is canonical;
+    # more than _MAX_LISTS raise ValueError before the first is yielded
+    _check_list_limit(g_max, n_max)
     for g in range(1, g_max + 1):
         for n in range(1, n_max + 1):
             for c in compositions(g - 1, n):
                 yield g, tuple(x + 1 for x in c)
 
 
+# the parts of suite_string's lists: the consistency identity is a theorem
+# on _positive_lists, n <= 5 is fixed, and benchmarks/workloads.py derives
+# its expected counts from that range
+_STRING_N_MAX = 5
+
+
 def suite_string(g_max: int) -> list[CheckResult]:
-    # the consistency identity is a theorem on _positive_lists; n <= 5 is
-    # fixed, and benchmarks/workloads.py derives its expected counts from
-    # that range
-    return [verify_string_consistency(g, d) for g, d in _positive_lists(g_max, 5)]
+    return [
+        verify_string_consistency(g, d)
+        for g, d in _positive_lists(g_max, _STRING_N_MAX)
+    ]
 
 
 def suite_relation(
@@ -353,6 +364,11 @@ def cmd_verify(args) -> int:
             f"not to {args.suite!r}"
         )
     names = SUITES if args.suite == "all" else (args.suite,)
+    # every stated limit of the run is checked before its first suite runs
+    if "string" in names:
+        _check_list_limit(args.g_max, _STRING_N_MAX)
+    if "relation" in names:
+        _check_list_limit(args.g_max, args.m_max)
     checks, config = [], {}
     for name in names:
         flags = {flag: getattr(args, flag) for flag in SUITES[name]}

@@ -21,9 +21,10 @@ from operator import add, index, mul
 from .exact import bernoulli, factorial
 from .modfit import (
     FitInconsistency,
+    _column,
     _fit_monomials,
+    _integer_sum,
     block_sum,
-    evaluate,
     fit,
     graded_part,
     necklace_blocks,
@@ -201,8 +202,7 @@ def _top_weight_target(g: int, m: int, q_order: int) -> tuple[int, list[int]]:
 
 def _first_miss(lhs, rhs, start: int = 0) -> int | None:
     """The first n >= start at which two series given as (den, den * the
-    coefficients) differ, by cross-multiplying, or None.  The entries are
-    integers, but for the fit's top part: evaluate's Fractions over 1."""
+    coefficients as integers) differ, by cross-multiplying, or None."""
     (a, xs), (b, ys) = lhs, rhs
     return next((n for n in range(start, len(ys)) if xs[n] * b != a * ys[n]), None)
 
@@ -221,16 +221,18 @@ def top_weight_check(
     (2/(m-1)!) (q d/dq)^(m-1) G_2g.
 
     Up to weight _FIT_MAX_WEIGHT the polynomial is fit to the series
-    (implying the regularized constant when j_minus = 0); an
-    inconsistency, reported verbatim, would falsify quasimodularity at
-    this order.  Above it, the sum of the blocks of modfit.necklace_blocks
-    must equal the series at every q-power, q^0 only when j_minus >= 1,
-    and its top graded part is the sum of its blocks D^i G_k of the top
-    weight k + 2i.  Either needs an order that leaves fit its surplus
-    rows (else ValueError).  Above _FIT_MAX_WEIGHT every comparison is
-    made in integers by _first_miss, against the series' integer row
-    (_necklace_row, which no QSeries carries here); only the fit needs a
-    QSeries.  Each witness is a Fraction.
+    (implying the regularized constant when j_minus = 0); fit accepts
+    its candidate on the integer columns, and an inconsistency, reported
+    verbatim, would falsify quasimodularity at this order.  The fitted
+    top graded part is then summed on the same columns by
+    modfit._integer_sum.  Above _FIT_MAX_WEIGHT, the sum of the blocks of
+    modfit.necklace_blocks must equal the series' integer row
+    (_necklace_row, which no QSeries carries there) at every q-power,
+    q^0 only when j_minus >= 1, and its top graded part is the sum of its
+    blocks D^i G_k of the top weight k + 2i.  Either needs an order that
+    leaves fit its surplus rows (else ValueError).  On both paths the top
+    part is compared with the target in integers by _first_miss; only
+    the fit needs a QSeries.  Each witness is a Fraction.
     """
     m = j_plus + j_minus
     top_weight = 2 * g - 2 + 2 * m
@@ -242,7 +244,9 @@ def top_weight_check(
             return failed(
                 "elliptic.top_weight", {"fit_inconsistency": str(result)}, **params
             )
-        top = 1, evaluate(graded_part(result, top_weight), q_order).coeffs
+        top = _integer_sum(
+            graded_part(result, top_weight).terms.items(), _column, q_order
+        )
     else:
         row = _necklace_row(g, j_plus, j_minus, q_order)
         _fit_monomials(top_weight, q_order)  # fit's order precondition

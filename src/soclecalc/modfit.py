@@ -1,7 +1,6 @@
 """The graded ring of quasimodular forms C[G2, G4, G6].
 
-Provides basis enumeration by weight, exact evaluation of polynomials in
-the generators to truncated q-series, each necklace coefficient series
+Provides basis enumeration by weight, each necklace coefficient series
 built as a sum of blocks D^i G_k (q d/dq and the Eisenstein series), and
 the inverse problem: exact recognition of a truncated series as such a
 polynomial (`fit`), the top-weight check's oracle at low weight.
@@ -15,9 +14,9 @@ _integer_sum, adds coefficient/scale times integer series over one lcm
 denominator, on the columns and on the blocks alike.  Each recognition
 matrix's leading square block is a leading block of the larger ones, so
 one fraction-free LU factorization, grown to the largest block asked
-for, serves every fit (_solve); evaluating its block's solution on the
-columns, as evaluate does, accepts it or names the first q-power it
-misses.
+for, serves every fit (_solve); its block's integer solution, summed on
+the integer columns and compared with the series row by row over one
+denominator, accepts the candidate or names the first q-power it misses.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "QuasimodularPoly",
     "basis",
     "block_sum",
-    "evaluate",
     "fit",
     "graded_part",
     "monomial_weight",
@@ -215,20 +213,12 @@ def _product(lower, gen, start, order):
     )
 
 
-def evaluate(p: QuasimodularPoly, order: int) -> QSeries:
-    """Substitute the Eisenstein q-expansions and expand exactly: the sum
-    of coeff/scale times the integer column of each monomial, over one
-    common denominator."""
-    den, total = _integer_sum(p._terms, _column, order)
-    return QSeries(tuple(Fraction(t, den) for t in total))
-
-
 def _integer_sum(terms, series, order: int) -> tuple[int, list[int]]:
     """(den, den * the q^0 .. q^order coefficients of sum coeff/scale * ints
     over the (key, coeff) of terms, with (scale, ints) = series(key, order)),
     den the lcm of the denominators of each coeff/scale.  The one integer
-    sum of the module: on the columns (evaluate, fit, _block) and on the
-    blocks (block_sum)."""
+    sum of the module: on the columns (_block, and the fitted top part in
+    elliptic.top_weight_check) and on the blocks (block_sum)."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     scaled = []
@@ -426,9 +416,12 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     integer system.  The constant monomial 1 is zero beyond q^0, so it
     can only absorb the q^0 row; the matrix therefore depends on
     (max_weight, order) alone.  The solution of its leading square block
-    (_solve) is the candidate: evaluated on the same integer columns as
-    evaluate, it is accepted if it reproduces every q^1 .. q^order
-    coefficient, or the first q-power it misses is the witness.
+    (_solve) is the candidate, kept as integers w = det z: summed on the
+    integer columns, sum_j w_j col_j at q^n must equal det times the
+    series' integer row rhs at every q^1 .. q^order (rhs = den s, den
+    the lcm of the row's denominators), or the first q-power it misses
+    is the witness.  No Fraction is built before the candidate is
+    accepted.
 
     Growing _lu costs O(C^3) steps on minors that grow with its C
     columns: from empty it took 0.1 s at weight 18, 1.0-1.3 s at 22 and
@@ -436,10 +429,10 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     up to its _FIT_MAX_WEIGHT and builds the heavier polynomials.
 
     With s.constant_known the coefficient of 1 is s[0] minus the
-    candidate's q^0 value, read off that evaluation.  Without it (a
-    regularized series whose q^0 coefficient is undefined) the polynomial
-    has no constant term and implies a regularized constant, namely its
-    own q^0 value.
+    candidate's q^0 value, the same column sum at q^0 over den det.
+    Without it (a regularized series whose q^0 coefficient is undefined)
+    the polynomial has no constant term and implies a regularized
+    constant, namely its own q^0 value.
 
     Returns the unique matching polynomial, or a FitInconsistency naming
     the first q-power at which no polynomial can match.
@@ -453,16 +446,18 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
         s.coeffs[n].numerator * (den // s.coeffs[n].denominator) for n in powers
     ]
     w, det = _solve([col for _, col in cols], rhs)
+    # den det times the candidate's q^0 .. q^order coefficients
+    values = [0] * (s.order + 1)
+    for x, (_, col) in zip(w, cols):
+        values = [v + x * y for v, y in zip(values, col)]
+    miss = next((n for n in powers if values[n] != det * rhs[n - 1]), None)
+    if miss:
+        return FitInconsistency(miss, max_weight)
     terms = {
         m: Fraction(scale * x, den * det) for m, (scale, _), x in zip(monos, cols, w)
     }
-    # evaluated as evaluate does it, q^n misses s where row q^n misses
-    vden, values = _integer_sum(terms.items(), _column, s.order)
-    miss = next((n for n in powers if values[n] != vden * s.coeffs[n]), None)
-    if miss:
-        return FitInconsistency(miss, max_weight)
     if s.constant_known:
-        terms[(0, 0, 0)] = s[0] - Fraction(values[0], vden)
+        terms[(0, 0, 0)] = s[0] - Fraction(values[0], den * det)
     return QuasimodularPoly(terms)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from soclecalc import cli, elliptic
 from soclecalc.cli import _MAX_LISTS, _positive_list_count, _positive_lists, main
 from soclecalc.socle import _MAX_QUERIES, _MAX_ZEROS, _query_count
 
@@ -105,11 +106,23 @@ def test_positive_list_limit(capsys, argv, count):
     assert f"gives {count} exponent lists; the limit is {_MAX_LISTS}" in err
 
 
-def test_verify_all_stops_at_the_positive_list_limit(capsys):
-    # the dr and string suites run first; the relation suite refuses
-    code, out, err = run(capsys, "verify", "all", "--g-max", "12", "--m-max", "12")
-    assert (code, out) == (1, "")
-    assert f"gives 2704155 exponent lists; the limit is {_MAX_LISTS}" in err
+def test_verify_all_stops_at_the_positive_list_limit(capsys, monkeypatch):
+    # every limit is checked before the first suite runs: the dr suite,
+    # first in `verify all`, has no limit of its own and would run for
+    # seconds at g <= 100 before the string suite refused; at g, m <= 12
+    # only the relation suite's lists pass the limit
+    ran = []
+    monkeypatch.setattr(cli, "suite_dr", lambda *args: ran.append(args) or [])
+    for argv, count in (
+        (("--g-max", "100"), 96_560_645),
+        (("--g-max", "12", "--m-max", "12"), 2_704_155),
+    ):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "verify", "all", *argv)
+        assert time.monotonic() - t0 < 1
+        assert (code, out) == (1, "")
+        assert f"gives {count} exponent lists; the limit is {_MAX_LISTS}" in err
+    assert ran == []
 
 
 def test_positive_list_count_is_the_listing_length():
@@ -364,3 +377,35 @@ def test_table_eisenstein_markdown(capsys):
     )
     assert code == 0
     assert "-1/24" in out and "1/240" in out and "-1/504" in out
+
+
+def test_verify_all_fits_every_top_weight_check_up_to_weight_12(capsys, monkeypatch):
+    # the benchmark's `verify all` flags: each of its 30 top-weight checks
+    # (g <= 3, m <= 4, weights 2 .. 12) fits once, the oracle that
+    # benchmarks/selftest.py counts; m = 5 adds checks of weight 14 and
+    # above at g = 3, which build and never fit
+    fits, per_check = [], []
+    fit, check = elliptic.fit, cli.top_weight_check
+
+    def counted_fit(s, max_weight):
+        fits.append(max_weight)
+        return fit(s, max_weight)
+
+    def counted_check(g, j_plus, j_minus, q_order):
+        before = len(fits)
+        result = check(g, j_plus, j_minus, q_order)
+        weight = 2 * g - 2 + 2 * (j_plus + j_minus)
+        per_check.append((weight, fits[before:]))
+        return result
+
+    monkeypatch.setattr(elliptic, "fit", counted_fit)
+    monkeypatch.setattr(cli, "top_weight_check", counted_check)
+    flags = ["--g-max", "3", "--q-order", "8", "--w-order", "8", "--samples", "20"]
+    assert run(capsys, "verify", "all", "--m-max", "4", *flags)[0] == 0
+    assert len(per_check) == len(fits) == 30
+    assert all(called == [weight] for weight, called in per_check)
+    per_check.clear()
+    assert run(capsys, "verify", "topweight", "--m-max", "5", *flags[:2])[0] == 0
+    heavy = [called for weight, called in per_check if weight > 12]
+    assert len(heavy) == 5 and not any(heavy)
+    assert len(per_check) == 45

@@ -17,7 +17,6 @@ from soclecalc.modfit import (
     FitInconsistency,
     QuasimodularPoly,
     basis,
-    evaluate,
     fit,
     graded_part,
     monomial_weight,
@@ -25,7 +24,7 @@ from soclecalc.modfit import (
 )
 from soclecalc.qseries import QSeries, eisenstein
 
-from series_ops import plus, q_d_q
+from series_ops import evaluate, plus, q_d_q
 
 
 # --- independent oracle: Laurent coefficients of e^w/(e^w-1)^2 by

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
@@ -12,7 +11,6 @@ from soclecalc.modfit import (
     FitInconsistency,
     QuasimodularPoly,
     basis,
-    evaluate,
     fit,
     graded_part,
     monomial_weight,
@@ -20,7 +18,7 @@ from soclecalc.modfit import (
 )
 from soclecalc.qseries import QSeries, divisor_sigmas, eisenstein
 
-from series_ops import plus, q_d_q, times
+from series_ops import evaluate, monomial_series, plus, q_d_q, times
 
 
 def _partition_count_246(v):
@@ -138,7 +136,7 @@ def test_fit_underdetermined_is_an_error():
         fit(eisenstein(2, 8), 8)  # 11 monomials, 9 rows: no surplus
     # a negative order is an error, not a ZeroDivisionError
     with pytest.raises(ValueError, match="order must be >= 0"):
-        evaluate(QuasimodularPoly({(1, 0, 0): 1}), -1)
+        modfit.block_sum([(1, 0, 4)], -1)
 
 
 def test_fit_free_constant_mode():
@@ -215,21 +213,9 @@ def test_graded_decomposition_sums_back():
 
 
 # ------------------------------------------------------------------
-# Reference recognition: Fraction column products and Gaussian
-# elimination with back substitution over the rationals, kept here as
-# the oracle of fit.
-
-
-@lru_cache(maxsize=None)
-def _ref_monomial_series(mono, order):
-    # G2^a G4^b G6^c as a literal product of Eisenstein series: the
-    # memoized monomial with its last nonzero exponent lowered, times
-    # that generator
-    if not any(mono):
-        return QSeries.constant(1, order)
-    j = max(i for i, e in enumerate(mono) if e)
-    lower = tuple(e - (i == j) for i, e in enumerate(mono))
-    return times(_ref_monomial_series(lower, order), eisenstein(2 * j + 2, order))
+# Reference recognition: Fraction column products (the literal
+# monomial_series of series_ops) and Gaussian elimination with back
+# substitution over the rationals, kept here as the oracle of fit.
 
 
 def _ref_solve(matrix, rhs):
@@ -283,7 +269,7 @@ def test_fit_matches_gauss_jordan_reference():
     columns = {}  # order -> monomial -> reference column
     # truncations of the longest: a truncated product is the product of
     # the truncations
-    longest = {m: _ref_monomial_series(m, 30) for m in basis(12)}
+    longest = {m: monomial_series(m, 30) for m in basis(12)}
     seen = {"consistent": 0, "inconsistent": 0, "free": 0, "fixed": 0}
     weights = set()
     for trial in range(200):
@@ -316,6 +302,64 @@ def test_fit_matches_gauss_jordan_reference():
         weights.add(weight)
     assert weights == {4, 6, 8, 10, 12}
     assert min(seen.values()) >= 50, seen
+
+
+def _oracle_acceptance(s, max_weight):
+    # fit's candidate, the solution of the rows q^1 .. q^C for the C
+    # non-constant monomials, solved and evaluated in Fractions: the
+    # first q^n >= 1 where its evaluation misses s, else the candidate
+    # with s[0] minus its q^0 value as the constant when s knows q^0
+    monos = basis(max_weight)[1:]
+    powers = range(1, len(monos) + 1)
+    matrix = [[monomial_series(m, s.order).coeffs[n] for m in monos] for n in powers]
+    coeffs, _ = _ref_solve(matrix, [s.coeffs[n] for n in powers])
+    candidate = QuasimodularPoly(dict(zip(monos, coeffs)))
+    value = evaluate(candidate, s.order)
+    miss = next((n for n in range(1, s.order + 1) if value[n] != s.coeffs[n]), None)
+    if miss:
+        return FitInconsistency(miss, max_weight)
+    if not s.constant_known:
+        return candidate
+    return QuasimodularPoly({**candidate.terms, (0, 0, 0): s[0] - value[0]})
+
+
+def test_integer_acceptance_matches_the_fraction_oracle():
+    # single coefficients of fitted series perturbed (the leading rows,
+    # the surplus rows and q^0), in both constant modes, next to series
+    # that are not quasimodular: fit names the same first inconsistent
+    # power, or the same polynomial with the same constant term, as
+    # evaluating its candidate in Fractions
+    rng = random.Random(31)
+    seen = {"consistent": 0, "inconsistent": 0, "leading": 0, "surplus": 0}
+    modes = set()
+    for trial in range(60):
+        weight = rng.choice((2, 4, 6, 8, 10, 12))
+        monos = basis(weight)
+        order = len(monos) + 4 + rng.randint(0, 3)
+        known = trial % 2 == 0
+        if trial % 6 == 5:
+            # random rationals: not quasimodular at any weight
+            coeffs = [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(order + 1)
+            ]
+        else:
+            terms = {
+                m: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for m in rng.sample(monos, k=rng.randint(1, len(monos)))
+            }
+            coeffs = list(evaluate(QuasimodularPoly(terms), order).coeffs)
+            if trial % 6 >= 2:
+                n = rng.randint(0, order)
+                coeffs[n] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), 7)
+                seen["leading" if 1 <= n < len(monos) else "surplus"] += 1
+        s = QSeries(coeffs, constant_known=known)
+        got = fit(s, weight)
+        assert got == _oracle_acceptance(s, weight), (trial, weight, known)
+        seen["inconsistent" if isinstance(got, FitInconsistency) else "consistent"] += 1
+        modes.add((known, isinstance(got, FitInconsistency)))
+    assert len(modes) == 4
+    assert min(seen.values()) >= 10, seen
 
 
 def test_fit_and_top_weight_run_no_series_products(monkeypatch):
@@ -536,7 +580,7 @@ def test_columns_are_the_scaled_monomial_products(grown, monkeypatch):
     for m in monos:
         scale, col = modfit._column(m, 60)
         assert scale == 24 ** m[0] * 240 ** m[1] * 504 ** m[2]
-        assert QSeries(col) == _ref_monomial_series(m, 60).scale(scale), m
+        assert QSeries(col) == monomial_series(m, 60).scale(scale), m
 
 
 def test_a_non_integral_recurrence_entry_raises_and_stores_nothing(monkeypatch):
