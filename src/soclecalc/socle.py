@@ -13,7 +13,12 @@ constant, the q^0 term of the Eisenstein series G_2g from modfit's
 Apostol recurrence (_necklace_normalization); it never calls faber()
 and reads no Bernoulli number above the recurrence's seeds B_2, B_4 and
 B_6.  Socle values are symmetric in d, so the string recursion is
-memoized on the exponent list sorted in non-increasing order.
+memoized on the exponent list sorted in non-increasing order.  Its step
+is grouped: slots of equal exponent give equal branches, so one branch
+per distinct positive exponent, weighted by its multiplicity, stands for
+them all, and decrementing the last copy of the exponent keeps the branch
+non-increasing, a memo key without sorting.  The per-slot step
+string_apply stays the literal oracle of the check side.
 
 The recursion works in integers.  With s = g-2+n and c(g, m) =
 _necklace_normalization(g, m), it keeps the socle value of a list of
@@ -80,18 +85,19 @@ __all__ = [
 
 
 # largest literal wheel sum wheel_collapse_check will build: at about
-# 0.4-0.5 microseconds per wheel (Python 3.11, 2 vCPUs), about 0.05 s
+# 0.45 microseconds per wheel, the 95 040 wheels of g = 8, m = 6 take
+# 0.04-0.05 s (Python 3.11.7, 2 vCPUs)
 _MAX_WHEELS = 100_000
 
 # most zero exponents socle_necklace takes: the string recursion takes
-# about 3 levels of the default recursion limit of 1000 per zero (two
-# Python frames and the memo's call), and (z, 0^z) at g=1 first raises
-# RecursionError at z = 332 (Python 3.11)
+# about 2 levels of the default recursion limit of 1000 per zero (one
+# Python frame and the memo's call), and (z, 0^z) at g=1 first raises
+# RecursionError at z = 496 (Python 3.11.7)
 _MAX_ZEROS = 200
 
 # most queries iter_socle_queries yields: g, n <= 18 gives 290 646, which
-# `table socle` evaluates with both methods in 16-20 s with a 382 MB
-# peak (Python 3.11.7, 2 vCPUs)
+# `table socle` evaluates with both methods in 8-9 s with a 382 MB peak
+# (Python 3.11.7, 2 vCPUs)
 _MAX_QUERIES = 300_000
 
 
@@ -165,6 +171,17 @@ def iter_wheels(m: int, total_genus: int) -> Iterator[Wheel]:
             yield Wheel(cycle, genera)
 
 
+@lru_cache(maxsize=None)
+def _faber_prefactor(g: int, n: int) -> tuple[int, int]:
+    # faber's numerator (-1)^(g-1) num(B_2g) (2g-3+n)! and the part of its
+    # denominator den(B_2g) 2^(2g-1) (2g)! that does not depend on d
+    b = bernoulli(2 * g)
+    return (
+        (-1) ** (g - 1) * b.numerator * factorial(2 * g - 3 + n),
+        b.denominator * 2 ** (2 * g - 1) * factorial(2 * g),
+    )
+
+
 def faber(q: SocleQuery) -> Fraction:
     """The closed product formula for the socle pairing.
 
@@ -172,12 +189,10 @@ def faber(q: SocleQuery) -> Fraction:
     string-consistent evaluation iff at most one exponent is zero (see
     the module docstring).
     """
-    g, d, n = q.g, q.d, q.n
-    b = bernoulli(2 * g)
-    den = b.denominator * 2 ** (2 * g - 1) * factorial(2 * g)
-    for di in d:
+    num, den = _faber_prefactor(q.g, q.n)
+    for di in q.d:
         den *= double_factorial_odd(2 * di - 1)
-    return Fraction((-1) ** (g - 1) * b.numerator * factorial(2 * g - 3 + n), den)
+    return Fraction(num, den)
 
 
 def _dr_product(d: tuple[int, ...]) -> tuple[int, int]:
@@ -252,6 +267,11 @@ def string_apply(d: Sequence[int]) -> list[tuple[int, ...]]:
     The genus is unchanged.  Mechanical on d: dimension validity is not
     required here, but reductions of a dimension-valid query are again
     dimension-valid.
+
+    This is the literal string equation, one branch per slot, and the
+    check side's oracle: _faber_string_sum sums faber over it, and the
+    tests compare the necklace recursion's grouped step (_string_step)
+    with it.  The recursion does not step through it.
     """
     d = tuple(map(index, d))
     if len(d) < 2:
@@ -262,16 +282,28 @@ def string_apply(d: Sequence[int]) -> list[tuple[int, ...]]:
         raise ValueError("string reduction needs a zero exponent")
     if not any(d):
         raise ValueError(f"no positive exponent to decrement in {d}")
-    return _string_step(d)
-
-
-def _string_step(d: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # string_apply without its checks: d holds a zero and a positive entry
     last_zero = len(d) - 1 - d[::-1].index(0)
     rest = d[:last_zero] + d[last_zero + 1 :]
     return [
         rest[:j] + (x - 1,) + rest[j + 1 :] for j, x in enumerate(rest) if x >= 1
     ]
+
+
+def _string_step(d: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    # the string step of canonical (non-increasing) d, whose last entry is
+    # a zero, grouped by value: slots of equal value give equal branches
+    # up to order, so each distinct positive value v of multiplicity k
+    # gives one branch of weight k, with the last copy of v decremented.
+    # That keeps the branch non-increasing, so it is its own memo key
+    rest = d[:-1]
+    branches = []
+    j = 0
+    while j < len(rest) and rest[j]:
+        x = rest[j]
+        k = rest.count(x)
+        j += k
+        branches.append((k, rest[: j - 1] + (x - 1,) + rest[j:]))
+    return branches
 
 
 def _canonical(d: Sequence[int]) -> tuple[int, ...]:
@@ -309,20 +341,23 @@ def _necklace_numerator(g: int, d: tuple[int, ...]) -> int:
     s = g - 2 + n
     if zeros == 0:
         # lift: bump the largest exponent, append a zero; the lifted
-        # canonical query string-reduces to this query (its first
-        # reduction) plus sibling branches, each strictly more
-        # concentrated (sum d_i^2 grows), so the recursion terminates;
-        # the lifted numerator carries one more factor 2s+1
+        # canonical query string-reduces to this query (its first branch,
+        # of weight 1, since the bumped value occurs once) plus sibling
+        # branches, each strictly more concentrated (sum d_i^2 grows), so
+        # the recursion terminates; the lifted numerator carries one more
+        # factor 2s+1
         lifted = (d[0] + 1,) + d[1:] + (0,)
         _, *branches = _string_step(lifted)
-        return _exact_quotient(_necklace_numerator(g, lifted), 2 * s + 1) - sum(
-            _necklace_numerator(g, _canonical(branch)) for branch in branches
-        )
+        total = _exact_quotient(_necklace_numerator(g, lifted), 2 * s + 1)
+        for k, branch in branches:
+            total -= k * _necklace_numerator(g, branch)
+        return total
     # two or more zeros: keep applying the string equation, whose
     # branches on n-1 points carry one factor 2s-1 less
-    return (2 * s - 1) * sum(
-        _necklace_numerator(g, _canonical(rd)) for rd in _string_step(d)
-    )
+    total = 0
+    for k, branch in _string_step(d):
+        total += k * _necklace_numerator(g, branch)
+    return (2 * s - 1) * total
 
 
 def socle_necklace(q: SocleQuery) -> Fraction:
@@ -378,7 +413,13 @@ def socle_compute(q: SocleQuery, method: str = "both") -> SocleResult:
 
 
 def _faber_string_sum(g: int, d: tuple[int, ...]) -> Fraction:
-    # the closed formula summed over the string reductions of d
+    """The closed formula summed over the string reductions of d.
+
+    It steps through the per-slot string_apply, not the necklace
+    recursion's grouped _string_step: string_apply is the literal string
+    equation, which the mutation row that drops its last branch perturbs
+    and the tests compare the grouped recursion with, so the check side
+    keeps its own step."""
     return sum(
         (faber(SocleQuery(g, rd)) for rd in string_apply(d)), Fraction(0)
     )
@@ -425,8 +466,8 @@ def wheel_collapse_check(g: int, d: Sequence[int]) -> CheckResult:
     oriented-wheel sum (lhs) with its collapsed form necklace_lhs (rhs).
 
     The literal sum builds (m-1)! * C(g-2+m, m-1) wheels for m = len(d),
-    a count that grows factorially in m, at about 0.4-0.5 microseconds
-    each (Python 3.11, 2 vCPUs).  Above _MAX_WHEELS, about 0.05 s of work,
+    a count that grows factorially in m, at about 0.45 microseconds each
+    (Python 3.11.7, 2 vCPUs).  Above _MAX_WHEELS, about 0.05 s of work,
     this raises ValueError before any wheel is built.  The literal side takes
     its vertex integrals from dr3_recursive and the collapsed side from
     dr3_closed (through dr_standard), so a wrong per-vertex value fails
@@ -447,17 +488,27 @@ def wheel_collapse_check(g: int, d: Sequence[int]) -> CheckResult:
     return failed("socle.wheel_collapse", {"lhs": lhs, "rhs": rhs}, g=g, d=d)
 
 
-def _nonincreasing(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
-    # non-increasing lists of `parts` integers in 0..cap summing to total,
-    # in descending lexicographic order; callers keep total <= parts * cap
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(min(total, cap), -1, -1):
-        if first * parts < total:
-            break
-        for rest in _nonincreasing(total - first, parts - 1, first):
-            yield (first,) + rest
+def _nonincreasing(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    # the non-increasing lists of `parts` integers >= 0 summing to
+    # total >= 0, in descending lexicographic order (anti-lexicographic, as
+    # in Zoghbi-Stojmenovic), without recursion: each step lowers by one
+    # the rightmost entry whose unit the entries after it can take, each at
+    # most the lowered value, and refills those entries greedily
+    d = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(d)
+        tail = 0  # sum(d[i + 1:])
+        for i in range(parts - 2, -1, -1):
+            tail += d[i + 1]
+            x = d[i] - 1
+            if x * (parts - 1 - i) > tail:
+                break
+        else:
+            return
+        full, rest = divmod(tail + 1, x)
+        d[i:] = [x] * (full + 1) + [0] * (parts - 1 - i - full)
+        if rest:
+            d[i + 1 + full] = rest
 
 
 def _query_count(g_max: int, n_max: int) -> int:
@@ -487,6 +538,5 @@ def iter_socle_queries(g_max: int, n_max: int) -> Iterator[SocleQuery]:
         )
     for g in range(1, g_max + 1):
         for n in range(1, n_max + 1):
-            total = g - 2 + n
-            for d in _nonincreasing(total, n, total):
+            for d in _nonincreasing(g - 2 + n, n):
                 yield SocleQuery(g, d)

@@ -56,6 +56,7 @@ MEMOS = (
     modfit._necklace_coefficients,
     drcycle._dr3_rec,
     drcycle.dr_standard,
+    socle._faber_prefactor,
     socle._necklace_normalization,
     socle._level_denominator,
     socle._necklace_numerator,

@@ -609,3 +609,70 @@ def test_recursion_does_no_fraction_arithmetic(monkeypatch):
                "__rmul__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(Fraction, op, refused)
     assert [socle_necklace(q) for q in queries] == values
+
+
+# --- the dilaton equation, which the string recursion never uses, and the
+# recursion's grouped string step against the per-slot string_apply
+
+
+def _dilaton_misses(value, queries):
+    # the queries q on which value(g, d + (1,)) is not (2g-2+n) value(g, d)
+    return [
+        q
+        for q in queries
+        if value(SocleQuery(q.g, q.d + (1,))) != (2 * q.g - 2 + q.n) * value(q)
+    ]
+
+
+def test_dilaton_equation():
+    # the necklace path on every query of g <= 10, n <= 9, and the closed
+    # formula on those with at most one zero (so has d + (1,))
+    queries = list(iter_socle_queries(10, 9))
+    assert len(queries) == 3257
+    assert _dilaton_misses(socle_necklace, queries) == []
+    one_zero = [q for q in queries if q.d.count(0) <= 1]
+    assert len(one_zero) == 980
+    assert _dilaton_misses(faber, one_zero) == []
+
+
+def test_grouped_string_step_matches_string_apply():
+    # every canonical list with a zero of g, n <= 8: one branch per
+    # distinct positive value, weighted by its multiplicity and already
+    # non-increasing, together string_apply's per-slot branches
+    lists = [q.d for q in iter_socle_queries(8, 8) if 0 in q.d and q.n > 1]
+    assert len(lists) == 1080
+    for d in lists:
+        step = socle._string_step(d)
+        grouped = Counter({branch: k for k, branch in step})
+        assert len(grouped) == len(step), d
+        assert grouped == Counter(socle._canonical(b) for b in string_apply(d)), d
+
+
+def _weights_forced_to_one(honest):
+    return lambda d: [(1, branch) for _, branch in honest(d)]
+
+
+def _drops_last_of_several_groups(honest):
+    def dropped(d):
+        out = honest(d)
+        return out[:-1] if len(out) > 1 else out
+
+    return dropped
+
+
+@pytest.mark.parametrize(
+    "perturb", [_weights_forced_to_one, _drops_last_of_several_groups]
+)
+def test_perturbed_grouped_step_fails_the_comparisons(monkeypatch, perturb):
+    # the recursion's step, perturbed, must move values off the dilaton
+    # equation and off the closed formula on lists with at most one zero
+    queries = list(iter_socle_queries(6, 6))
+    monkeypatch.setattr(socle, "_string_step", perturb(socle._string_step))
+    socle._necklace_numerator.cache_clear()
+    try:
+        assert _dilaton_misses(socle_necklace, queries)
+        assert [
+            q for q in queries if q.d.count(0) <= 1 and socle_necklace(q) != faber(q)
+        ]
+    finally:
+        socle._necklace_numerator.cache_clear()
