@@ -188,15 +188,18 @@ def _necklace_row(g: int, j_plus: int, j_minus: int, q_order: int) -> list[int]:
 
 def _top_weight_target(g: int, m: int, q_order: int) -> tuple[int, list[int]]:
     """(den, den * the q^0 .. q^order coefficients) of
-    (2/(m-1)!) (q d/dq)^(m-1) G_2g, read off the memoized
-    eisenstein(2g, q_order): 2 n^(m-1) [q^n]G_2g / (m-1)! at q^n, n >= 1,
-    with [q^n]G_2g the integer sigma_(2g-1)(n), and 2 [q^0]G_2g at q^0
-    when m = 1, else 0; den is (m-1)! times that constant's denominator."""
-    coeffs = eisenstein(2 * g, q_order).coeffs
-    constant = 2 * coeffs[0] if m == 1 else Fraction(0)
+    (2/(m-1)!) (q d/dq)^(m-1) G_2g: 2 n^(m-1) sigma_(2g-1)(n) / (m-1)! at
+    q^n, n >= 1, read as integers off the memoized
+    qseries.divisor_sigmas(2g-1, q_order) that the splits of one (g, m)
+    share, and 2 [q^0]G_2g at q^0 when m = 1, else 0.  That constant is
+    eisenstein(2g, 0)'s -B_2g/(4g), Faber's side, so at m = 1 the check
+    compares it with the built polynomial's constant from Apostol's
+    recurrence; den is (m-1)! times its denominator."""
+    constant = 2 * eisenstein(2 * g, 0).coeffs[0] if m == 1 else Fraction(0)
     x = 2 * constant.denominator
+    sigmas = divisor_sigmas(2 * g - 1, q_order)
     return factorial(m - 1) * constant.denominator, [constant.numerator] + [
-        x * n ** (m - 1) * s.numerator for n, s in enumerate(coeffs[1:], 1)
+        x * n ** (m - 1) * s for n, s in enumerate(sigmas, 1)
     ]
 
 

@@ -7,7 +7,9 @@ polynomial (`fit`), the top-weight check's oracle at low weight.
 
 Both directions work on integer columns, one store for all of them:
 24^a 240^b 504^c G2^a G4^b G6^c for every monomial, grown to the largest
-order asked for (_column).  A block's integer series is summed once on
+order asked for (_column); a column with G2 is extended in whole-row
+passes from Ramanujan's equations, and one divmod pass checks and names
+the first non-integral entry.  A block's integer series is summed once on
 the columns and kept in a second store (_block), so a necklace series is
 a short integer sum over blocks (block_sum).  One function,
 _integer_sum, adds coefficient/scale times integer series over one lcm
@@ -17,6 +19,13 @@ one fraction-free LU factorization, grown to the largest block asked
 for, serves every fit (_solve); its block's integer solution, summed on
 the integer columns and compared with the series row by row over one
 denominator, accepts the candidate or names the first q-power it misses.
+
+Polynomials have one canonical form (_canonical: repeated monomials
+merged, zeros dropped, basis order).  The public QuasimodularPoly
+constructor validates each term and then canonicalizes; the polynomials
+the module builds itself (_derivative, _block_polynomial, fit,
+graded_part) go through QuasimodularPoly._built, which only
+canonicalizes, and not even sorts when the terms come in basis order.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
 from operator import add, index, mul
 
 from .exact import factorial, rational
@@ -62,7 +72,20 @@ def monomial_weight(mono: Monomial) -> int:
 
 def _basis_key(mono: Monomial):
     # graded order; within a weight, G2-heavy monomials first
-    return (monomial_weight(mono), tuple(-e for e in mono))
+    a, b, c = mono
+    return (monomial_weight(mono), -a, -b, -c)
+
+
+def _canonical(terms: Iterable, ordered: bool = False) -> tuple:
+    """The one canonical form of a QuasimodularPoly's terms: repeated
+    monomials merged, zero coefficients dropped, sorted by _basis_key,
+    unless ordered says the monomials are distinct and sorted already."""
+    if not ordered:
+        acc: dict[Monomial, Fraction] = {}
+        for mono, coeff in terms:
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
+        terms = sorted(acc.items(), key=lambda t: _basis_key(t[0]))
+    return tuple(t for t in terms if t[1])
 
 
 class QuasimodularPoly:
@@ -76,23 +99,26 @@ class QuasimodularPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = list(terms)
-        acc: dict[Monomial, Fraction] = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        checked = []
         for mono, coeff in items:
             mono = tuple(map(index, mono))
             if len(mono) != 3 or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent triple {mono!r}")
             if not isinstance(coeff, Fraction):
                 coeff = rational(coeff)
-            if coeff != 0:
-                acc[mono] = acc[mono] + coeff if mono in acc else coeff
-        self._terms = tuple(
-            (m, c) for m, c in sorted(acc.items(), key=lambda t: _basis_key(t[0]))
-            if c != 0
-        )
+            checked.append((mono, coeff))
+        self._terms = _canonical(checked)
+
+    @classmethod
+    def _built(cls, terms: Iterable, ordered: bool = False) -> QuasimodularPoly:
+        """The polynomial of (monomial, coefficient) pairs that the package
+        built itself, int triples and Fractions, so nothing is validated:
+        the same canonical form as the public constructor's (_canonical).
+        ordered: the monomials are distinct and in basis order already."""
+        p = cls.__new__(cls)
+        p._terms = _canonical(terms, ordered)
+        return p
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
@@ -158,8 +184,12 @@ def _column(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
       24 D col(a-1, b, c) = 2(a-1) col(a-2, b+1, c) + 8b col(a-1, b-1, c+1)
                             + 12c col(a-1, b+2, c-1) - k col(a, b, c),
     k = 2(a-1) + 8b + 12c, by the equations of _RAMANUJAN.  Its other
-    three columns have the same weight and a lower G2 degree; each
-    entry's division by k is checked, not assumed."""
+    three columns have the same weight and a lower G2 degree.  The new
+    entries, from the stored length to q^order, are one row: -24 n
+    col(a-1, b, c)[n], plus one list pass per nonzero Ramanujan term over
+    the zipped columns, then one divmod pass by k.  Each division is
+    checked, not assumed: a remainder raises ArithmeticError naming the
+    first such q-power, and the stored column stays as it was."""
     if not any(mono):
         return 1, (1,) + (0,) * order
     scale, col = _columns.get(mono, (0, ()))
@@ -182,24 +212,21 @@ def _column(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
         k = 2 * (a - 1) + 8 * b + 12 * c
         scale, lower = _column((a - 1, b, c), order)
         scale *= 24
-        reads = [
-            (f, _column(m, order)[1])
-            for f, m in (
-                (2 * (a - 1), (a - 2, b + 1, c)),
-                (8 * b, (a - 1, b - 1, c + 1)),
-                (12 * c, (a - 1, b + 2, c - 1)),
-            )
-            if f
-        ]
-        new = []
-        for n in range(len(col), order + 1):
-            x, r = divmod(
-                sum(f * other[n] for f, other in reads) - 24 * n * lower[n], k
-            )
-            if r:
-                raise ArithmeticError(f"column {mono} is not integral at q^{n}")
-            new.append(x)
-        col += tuple(new)
+        start = len(col)
+        row = [-24 * n * x for n, x in enumerate(lower[start : order + 1], start)]
+        for f, m in (
+            (2 * (a - 1), (a - 2, b + 1, c)),
+            (8 * b, (a - 1, b - 1, c + 1)),
+            (12 * c, (a - 1, b + 2, c - 1)),
+        ):
+            if f:
+                other = _column(m, order)[1][start : order + 1]
+                row = [x + f * y for x, y in zip(row, other)]
+        new, rems = zip(*map(divmod, row, repeat(k)))
+        if any(rems):
+            n = start + next(i for i, r in enumerate(rems) if r)
+            raise ArithmeticError(f"column {mono} is not integral at q^{n}")
+        col += new
     _columns[mono] = scale, col
     return scale, col
 
@@ -218,25 +245,30 @@ def _integer_sum(terms, series, order: int) -> tuple[int, list[int]]:
     over the (key, coeff) of terms, with (scale, ints) = series(key, order)),
     den the lcm of the denominators of each coeff/scale.  The one integer
     sum of the module: on the columns (_block, and the fitted top part in
-    elliptic.top_weight_check) and on the blocks (block_sum)."""
+    elliptic.top_weight_check) and on the blocks (block_sum).  Each
+    coeff/scale is reduced in integers, without a Fraction."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    # coeff/scale in lowest terms, with gcd(num, scale) alone: num and
+    # coeff's denominator are coprime already
     scaled = []
     for key, coeff in terms:
         scale, ints = series(key, order)
-        scaled.append((Fraction(coeff, scale), ints))
-    den = lcm(*(c.denominator for c, _ in scaled))
+        num = coeff.numerator
+        g = gcd(num, scale)
+        scaled.append((num // g, coeff.denominator * (scale // g), ints))
+    den = lcm(*(d for _, d, _ in scaled))
     total = [0] * (order + 1)
-    for c, ints in scaled:
-        x = c.numerator * (den // c.denominator)
+    for num, d, ints in scaled:
+        x = num * (den // d)
         total = [t + x * y for t, y in zip(total, ints)]
     return den, total
 
 
 def graded_part(p: QuasimodularPoly, weight: int) -> QuasimodularPoly:
     """Restriction of p to the monomials of exactly the given weight."""
-    return QuasimodularPoly(
-        {m: c for m, c in p._terms if monomial_weight(m) == weight}
+    return QuasimodularPoly._built(
+        ((m, c) for m, c in p._terms if monomial_weight(m) == weight), ordered=True
     )
 
 
@@ -302,7 +334,7 @@ def _derivative(p: QuasimodularPoly) -> QuasimodularPoly:
             terms.append(((a, b - 1, c + 1), b * r4 * x))
         if c:
             terms.append(((a, b + 2, c - 1), c * r6 * x))
-    return QuasimodularPoly(terms)
+    return QuasimodularPoly._built(terms)
 
 
 @lru_cache(maxsize=None)
@@ -313,8 +345,9 @@ def _block_polynomial(i: int, k: int) -> QuasimodularPoly:
     if i:
         return _derivative(_block_polynomial(i - 1, k))
     if k <= 6:
-        return QuasimodularPoly({(k == 2, k == 4, k == 6): 1})
-    return QuasimodularPoly(
+        mono = (int(k == 2), int(k == 4), int(k == 6))
+        return QuasimodularPoly._built([(mono, Fraction(1))])
+    return QuasimodularPoly._built(
         (tuple(map(add, m1, m2)), x * x1 * x2)
         for x, w, v in _apostol_terms(k)
         for m1, x1 in _block_polynomial(0, w)._terms
@@ -453,12 +486,13 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     miss = next((n for n in powers if values[n] != det * rhs[n - 1]), None)
     if miss:
         return FitInconsistency(miss, max_weight)
-    terms = {
-        m: Fraction(scale * x, den * det) for m, (scale, _), x in zip(monos, cols, w)
-    }
+    terms = [
+        (m, Fraction(scale * x, den * det)) for m, (scale, _), x in zip(monos, cols, w)
+    ]
     if s.constant_known:
-        terms[(0, 0, 0)] = s[0] - Fraction(values[0], den * det)
-    return QuasimodularPoly(terms)
+        # the constant monomial comes first in basis order
+        terms.insert(0, ((0, 0, 0), s[0] - Fraction(values[0], den * det)))
+    return QuasimodularPoly._built(terms, ordered=True)
 
 
 # (pivots, lower, upper): the unpivoted fraction-free LU of A, the leading

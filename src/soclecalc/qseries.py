@@ -82,16 +82,19 @@ class QSeries(_Frozen):
     __rmul__ = __mul__
 
 
-def divisor_sigmas(power: int, order: int) -> list[int]:
-    """[sigma_power(1), .., sigma_power(order)], sigma_power(n) the sum of
+@lru_cache(maxsize=None)
+def divisor_sigmas(power: int, order: int) -> tuple[int, ...]:
+    """(sigma_power(1), .., sigma_power(order)), sigma_power(n) the sum of
     d^power over the divisors d of n: one sieve that adds d^power to every
-    multiple of each d <= order."""
+    multiple of each d <= order.  Memoized, and a tuple so that no caller
+    can change the shared sums: eisenstein, modfit's generator columns and
+    elliptic._top_weight_target read the same ones."""
     sums = [0] * (order + 1)
     for d in range(1, order + 1):
         dp = d**power
         for n in range(d, order + 1, d):
             sums[n] += dp
-    return sums[1:]
+    return tuple(sums[1:])
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from soclecalc import modfit
+from soclecalc import elliptic, modfit
 from soclecalc.cli import suite_topweight
 from soclecalc.elliptic import necklace_coefficient_series
 from soclecalc.exact import bernoulli
@@ -188,6 +188,49 @@ def test_coefficients_must_be_ints_or_fractions(bad):
         QuasimodularPoly({(1, 0, 0): bad})
     with pytest.raises(TypeError):
         QuasimodularPoly([((0, 1, 0), 1), ((1, 0, 0), bad)])
+
+
+def test_polynomials_built_without_validation_are_canonical(monkeypatch):
+    blocks = [
+        modfit._block_polynomial(i, k)
+        for k in range(2, 31, 2)
+        for i in range((30 - k) // 2 + 1)
+    ]
+    fitted = []
+    honest = modfit.fit
+
+    def recorded(s, max_weight):
+        result = honest(s, max_weight)
+        fitted.append(result)
+        return result
+
+    for module in (modfit, elliptic):
+        monkeypatch.setattr(module, "fit", recorded)
+    assert all(c.ok for c in suite_topweight(3, 4, None, None))
+    assert len(fitted) == 30
+    # the top-weight fits have no constant term; 1 + G4 has one, first
+    g4 = eisenstein(4, 20).coeffs
+    one_plus_g4 = recorded(QSeries((g4[0] + 1,) + g4[1:]), 4)
+    assert one_plus_g4.terms == {(0, 0, 0): 1, (0, 1, 0): 1}
+    parts = [
+        graded_part(p, w)
+        for p in fitted
+        for w in {monomial_weight(m) for m, _ in p._terms}
+    ]
+    for p in blocks + fitted + parts:
+        # the public constructor's form, Fraction coefficients and int
+        # (not bool) exponents
+        assert QuasimodularPoly(p.terms)._terms == p._terms
+        for mono, x in p._terms:
+            assert type(x) is Fraction, (mono, x)
+            assert all(type(e) is int for e in mono), mono
+    # the public constructor still validates
+    with pytest.raises(TypeError):
+        QuasimodularPoly({(1, 0, 0): 0.5})
+    with pytest.raises(ValueError, match="bad exponent triple"):
+        QuasimodularPoly({(1, 0): 1})
+    with pytest.raises(ValueError, match="bad exponent triple"):
+        QuasimodularPoly({(1, -1, 0): 1})
 
 
 def test_graded_part():
@@ -595,6 +638,28 @@ def test_a_non_integral_recurrence_entry_raises_and_stores_nothing(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"q\^3"):
         modfit._column((2, 1, 0), 30)
     assert (2, 1, 0) not in modfit._columns
+
+
+def test_a_non_integral_grown_entry_names_its_q_power_and_keeps_the_column(
+    monkeypatch,
+):
+    # the row pass numbers its entries from the stored length: grown from
+    # q^31, the bad entry must still be named q^35, not q^4
+    monkeypatch.setattr(modfit, "_columns", {})
+    for m in basis(10):
+        modfit._column(m, 30)
+    # the three columns G2^2 G4 reads, grown honestly past q^35 first
+    for m in ((1, 1, 0), (0, 2, 0), (1, 0, 1)):
+        modfit._column(m, 40)
+    scale, col = modfit._columns[(0, 2, 0)]
+    modfit._columns[(0, 2, 0)] = scale, col[:35] + (col[35] + 1,) + col[36:]
+    stored = modfit._columns[(2, 1, 0)]
+    assert len(stored[1]) == 31
+    # G2^2 G4 divides by k = 10, and its term 2 col(0, 2, 0) moves the
+    # q^35 numerator by 2
+    with pytest.raises(ArithmeticError, match=r"q\^35$"):
+        modfit._column((2, 1, 0), 40)
+    assert modfit._columns[(2, 1, 0)] == stored
 
 
 def test_only_modular_monomials_are_convolved(monkeypatch):

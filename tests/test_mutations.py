@@ -50,6 +50,7 @@ MODULES = (exact, qseries, modfit, elliptic, drcycle, socle, cli)
 # every memo of the package, taken before any row replaces a name
 MEMOS = (
     exact.double_factorial_odd,
+    qseries.divisor_sigmas,
     qseries.eisenstein,
     modfit.basis,
     modfit._block_polynomial,

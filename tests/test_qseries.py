@@ -62,10 +62,10 @@ def test_divisor_sigma_brute_force_definition():
     # the sieved table against trial division of every n
     for order in (0, 1, 2, 12, 60):
         for p in range(5):
-            assert divisor_sigmas(p, order) == [
+            assert divisor_sigmas(p, order) == tuple(
                 sum(d**p for d in range(1, n + 1) if n % d == 0)
                 for n in range(1, order + 1)
-            ]
+            )
 
 
 def test_unknown_constant_propagation():
