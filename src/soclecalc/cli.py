@@ -19,6 +19,7 @@ from math import comb
 
 from .drcycle import dr3_bssz_check, dr3_closed, dr3_recursive, dr_standard
 from .elliptic import (
+    _check_separating_order,
     check_divisor_power_k_fails,
     check_propagator_identity,
     top_weight_check,
@@ -364,11 +365,13 @@ def cmd_verify(args) -> int:
             f"not to {args.suite!r}"
         )
     names = SUITES if args.suite == "all" else (args.suite,)
-    # every stated limit of the run is checked before its first suite runs
+    # every stated limit and precondition is checked before the first suite
     if "string" in names:
         _check_list_limit(args.g_max, _STRING_N_MAX)
     if "relation" in names:
         _check_list_limit(args.g_max, args.m_max)
+    if "propagator" in names:
+        _check_separating_order(args.q_order)
     checks, config = [], {}
     for name in names:
         flags = {flag: getattr(args, flag) for flag in SUITES[name]}

@@ -70,13 +70,14 @@ def propagator_expansion(q_order: int, w_order: int) -> dict[int, QSeries]:
 
 def weierstrass_expansion(q_order: int, w_order: int) -> dict[int, QSeries]:
     """Expansion of the constant-shifted Weierstrass function at the
-    origin: w^-2 + 2 sum_l G_(2l+2)(q) w^(2l) / (2l)!."""
-    rows = {-2: QSeries.constant(1, q_order), -1: QSeries.zero(q_order)}
-    for e in range(w_order + 1):
-        if e % 2:
-            rows[e] = QSeries.zero(q_order)
-        else:
-            rows[e] = eisenstein(e + 2, q_order).scale(Fraction(2, factorial(e)))
+    origin: w^-2 + 2 sum_l G_(2l+2)(q) w^(2l) / (2l)!.  Row -1 and the
+    odd rows share one zero series, a frozen value."""
+    zero = QSeries((0,) * (q_order + 1))
+    rows = {e: zero for e in range(-1, w_order + 1, 2)}
+    rows[-2] = QSeries((1,) + (0,) * q_order)
+    for e in range(0, w_order + 1, 2):
+        scale = Fraction(2, factorial(e))
+        rows[e] = QSeries([scale * x for x in eisenstein(e + 2, q_order).coeffs])
     return rows
 
 
@@ -109,22 +110,26 @@ def check_propagator_identity(q_order: int, w_order: int) -> CheckResult:
     return _compare_with_propagator(rows, q_order, w_order)
 
 
-def check_divisor_power_k_fails(q_order: int, w_order: int) -> CheckResult:
-    """Certify the divisor power k-1 of eisenstein by the failure of the
-    power k: the Weierstrass rows rebuilt with sigma_k(n) beyond q^0, the
-    Bernoulli constant unchanged, must disagree with the propagator sum.
-    The pass carries the first mismatch as mismatch_at=(q-power, w-power).
-
-    sigma_p(1) = 1 for every p, so no truncation below q^2 can tell the
-    two powers apart; q_order < 2 raises ValueError instead of reporting
-    an agreement.
-    """
+def _check_separating_order(q_order: int) -> None:
+    """ValueError below q^2, where the divisor powers k-1 and k first differ."""
     if q_order < 2:
         raise ValueError(
             "the divisor-power-k variant first differs from the propagator "
             "at q^2 (sigma_p(1) = 1 for every p): needs q_order >= 2, "
             f"got {q_order}"
         )
+
+
+def check_divisor_power_k_fails(q_order: int, w_order: int) -> CheckResult:
+    """Certify the divisor power k-1 of eisenstein by the failure of the
+    power k: the Weierstrass rows rebuilt with sigma_k(n) beyond q^0, the
+    Bernoulli constant unchanged, must disagree with the propagator sum.
+    The pass carries the first mismatch as mismatch_at=(q-power, w-power).
+
+    q_order < 2 raises ValueError (_check_separating_order) instead of
+    reporting an agreement.
+    """
+    _check_separating_order(q_order)
     rows = weierstrass_expansion(q_order, w_order)
     for e in range(0, w_order + 1, 2):
         scale = Fraction(2, factorial(e))

@@ -22,10 +22,9 @@ denominator, accepts the candidate or names the first q-power it misses.
 
 Polynomials have one canonical form (_canonical: repeated monomials
 merged, zeros dropped, basis order).  The public QuasimodularPoly
-constructor validates each term and then canonicalizes; the polynomials
-the module builds itself (_derivative, _block_polynomial, fit,
-graded_part) go through QuasimodularPoly._built, which only
-canonicalizes, and not even sorts when the terms come in basis order.
+constructor validates each term and then canonicalizes; the ones the
+module builds (_derivative, _block_polynomial, fit, graded_part) go
+through QuasimodularPoly._built, which only canonicalizes.
 """
 
 from __future__ import annotations
@@ -76,15 +75,13 @@ def _basis_key(mono: Monomial):
     return (monomial_weight(mono), -a, -b, -c)
 
 
-def _canonical(terms: Iterable, ordered: bool = False) -> tuple:
+def _canonical(terms: Iterable) -> tuple:
     """The one canonical form of a QuasimodularPoly's terms: repeated
-    monomials merged, zero coefficients dropped, sorted by _basis_key,
-    unless ordered says the monomials are distinct and sorted already."""
-    if not ordered:
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in terms:
-            acc[mono] = acc[mono] + coeff if mono in acc else coeff
-        terms = sorted(acc.items(), key=lambda t: _basis_key(t[0]))
+    monomials merged, zero coefficients dropped, sorted by _basis_key."""
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in terms:
+        acc[mono] = acc[mono] + coeff if mono in acc else coeff
+    terms = sorted(acc.items(), key=lambda t: _basis_key(t[0]))
     return tuple(t for t in terms if t[1])
 
 
@@ -111,13 +108,12 @@ class QuasimodularPoly:
         self._terms = _canonical(checked)
 
     @classmethod
-    def _built(cls, terms: Iterable, ordered: bool = False) -> QuasimodularPoly:
+    def _built(cls, terms: Iterable) -> QuasimodularPoly:
         """The polynomial of (monomial, coefficient) pairs that the package
         built itself, int triples and Fractions, so nothing is validated:
-        the same canonical form as the public constructor's (_canonical).
-        ordered: the monomials are distinct and in basis order already."""
+        the same canonical form as the public constructor's (_canonical)."""
         p = cls.__new__(cls)
-        p._terms = _canonical(terms, ordered)
+        p._terms = _canonical(terms)
         return p
 
     @property
@@ -268,7 +264,7 @@ def _integer_sum(terms, series, order: int) -> tuple[int, list[int]]:
 def graded_part(p: QuasimodularPoly, weight: int) -> QuasimodularPoly:
     """Restriction of p to the monomials of exactly the given weight."""
     return QuasimodularPoly._built(
-        ((m, c) for m, c in p._terms if monomial_weight(m) == weight), ordered=True
+        (m, c) for m, c in p._terms if monomial_weight(m) == weight
     )
 
 
@@ -490,9 +486,8 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
         (m, Fraction(scale * x, den * det)) for m, (scale, _), x in zip(monos, cols, w)
     ]
     if s.constant_known:
-        # the constant monomial comes first in basis order
-        terms.insert(0, ((0, 0, 0), s[0] - Fraction(values[0], den * det)))
-    return QuasimodularPoly._built(terms, ordered=True)
+        terms.append(((0, 0, 0), s[0] - Fraction(values[0], den * det)))
+    return QuasimodularPoly._built(terms)
 
 
 # (pivots, lower, upper): the unpivoted fraction-free LU of A, the leading

@@ -1,13 +1,13 @@
 """Truncated formal power series in q over exact rationals.
 
-A QSeries keeps coefficients of q^0 .. q^order inclusive.  The product
-of two series truncates to the smaller order, silently: series are
-approximations by construction.
+A QSeries keeps coefficients of q^0 .. q^order inclusive: a frozen value
+without scalar algebra.  Its product of two series, truncated to the
+smaller order, stays only for the benchmark tracer.
 
 The q^0 slot can be flagged unknown (constant_known=False), for the
 regularized coefficient series whose constant term is only defined
-through a limiting procedure.  scale keeps the flag; reading that
-constant or multiplying by the series raises.
+through a limiting procedure; reading that constant or multiplying by
+the series raises.
 """
 
 from __future__ import annotations
@@ -44,26 +44,15 @@ class QSeries(_Frozen):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls((Fraction(0),) * (order + 1))
-
-    @classmethod
-    def constant(cls, value, order: int) -> "QSeries":
-        return cls((rational(value),) + (Fraction(0),) * order)
-
     def __getitem__(self, n: int) -> Fraction:
         if n == 0 and not self.constant_known:
             raise ValueError("q^0 coefficient of this series is unknown")
         return self.coeffs[n]
 
-    def scale(self, c) -> "QSeries":
-        c = rational(c)
-        return QSeries(tuple(c * x for x in self.coeffs), self.constant_known)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        """The product truncated to the smaller order.  The package
+        multiplies no series: this stays only because benchmarks/tracing.py
+        wraps it, and the next change to the benchmark deletes it."""
         if not isinstance(other, QSeries):
             return NotImplemented
         if not (self.constant_known and other.constant_known):
@@ -78,8 +67,6 @@ class QSeries(_Frozen):
             for j in range(n - i + 1):
                 out[i + j] += ci * other.coeffs[j]
         return QSeries(tuple(out))
-
-    __rmul__ = __mul__
 
 
 @lru_cache(maxsize=None)

@@ -56,9 +56,9 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, prod
-from operator import index
+from operator import index, sub
 
 from .drcycle import dr_standard, dr3_recursive
 from .exact import bernoulli, double_factorial_odd, factorial
@@ -148,15 +148,12 @@ class Wheel(_Frozen):
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Stream the ordered tuples of parts integers >= 0 summing to total."""
+    """Stream the ordered tuples of parts integers >= 0 summing to total,
+    lexicographically: the steps through parts - 1 sorted partial sums."""
     if parts < 1 or total < 0:
         raise ValueError("need parts >= 1 and total >= 0")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for sums in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, sums + (total,), (0,) + sums))
 
 
 def iter_wheels(m: int, total_genus: int) -> Iterator[Wheel]:

@@ -36,7 +36,7 @@ from soclecalc.socle import (
     wheel_collapse_check,
 )
 
-from series_ops import q_d_q
+from series_ops import q_d_q, scale
 
 
 def _report(criterion, ok, detail):
@@ -256,7 +256,7 @@ def test_criterion_5_top_weight_claim():
     # closed-form anchor: the balanced two-edge series at genus one
     anchor = necklace_coefficient_series(1, 1, 1, 20)
     assert anchor.coeffs[1:4] == (2, 12, 24)
-    assert anchor == q_d_q(eisenstein(2, 20)).scale(2)
+    assert anchor == scale(q_d_q(eisenstein(2, 20)), 2)
     elapsed = time.monotonic() - t0
     _report(5, True, f"quasimodular fit and top-weight extraction on {count} "
             f"splits (g<=3, 2<=m<=4, including free-constant), {elapsed:.2f}s")

@@ -166,13 +166,20 @@ def test_verify_propagator_json_schema(capsys):
 
 
 @pytest.mark.parametrize("suite", ["propagator", "all"])
-def test_verify_propagator_below_q_squared_is_usage_error(capsys, suite):
+def test_verify_propagator_below_q_squared_is_usage_error(capsys, monkeypatch, suite):
     # sigma_p(1) = 1 for every p: no order below q^2 separates the
-    # divisor powers k-1 and k, so the run refuses instead of failing
-    code, out, err = run(capsys, "verify", suite, "--q-order", "1")
-    assert code == 1
-    assert out == ""
+    # divisor powers k-1 and k, so the run refuses instead of failing;
+    # `verify all` refuses before its first suite, dr, runs, and before
+    # the string and relation suites would take seconds at g <= 20
+    ran = []
+    monkeypatch.setattr(cli, "suite_dr", lambda *args: ran.append(args) or [])
+    sizes = ("--g-max", "20", "--m-max", "2") if suite == "all" else ()
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", suite, "--q-order", "1", *sizes)
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (1, "")
     assert "q^2" in err and "q_order >= 2" in err
+    assert ran == []
 
 
 def test_verify_relation_runs_requested_genus(capsys):
