@@ -4,7 +4,10 @@ Exit codes form a stable contract for CI use: 0 success/agreement,
 1 usage error, 2 mathematical disagreement.  A failed identity is a
 result with a serialized witness, not a crash.  The flags alone decide
 a run; no environment variable is read.  Usage errors found after
-parsing are ValueErrors, which main reports.
+parsing are ValueErrors, which main reports.  This is the one module
+that prints: json's default hook, the cell formatter of _rows_to_output
+and cmd_socle's markdown lines write each Fraction as exact "num/den"
+(exact.format_rational).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import random
 import sys
 from collections.abc import Iterator
+from fractions import Fraction
 from math import comb
 
 from .drcycle import dr3_bssz_check, dr3_closed, dr3_recursive, dr_standard
@@ -27,7 +31,7 @@ from .elliptic import (
 from .exact import double_factorial_odd, format_rational
 from .modfit import basis
 from .qseries import eisenstein
-from .report import CheckResult, failed, jsonable, passed
+from .report import CheckResult, failed, passed
 from .socle import (
     SocleQuery,
     compositions,
@@ -263,31 +267,30 @@ SUITES = {
 # ------------------------------------------------------------- rendering
 
 
+def _dumps(obj, indent: int | None = None) -> str:
+    # JSON with every Fraction, at any depth, as "num/den"
+    return json.dumps(obj, indent=indent, default=format_rational)
+
+
 def render_report(suite: str, checks: list[CheckResult], fmt: str, config: dict) -> str:
     if fmt == "json":
         payload = {
             "suite": suite,
             "checks": [
-                {
-                    "id": c.check_id,
-                    "status": c.status,
-                    "witness": jsonable(c.witness),
-                }
+                {"id": c.check_id, "status": c.status, "witness": c.witness}
                 for c in checks
             ],
             "config": config,
         }
-        return json.dumps(payload, indent=2)
+        return _dumps(payload, indent=2)
     if fmt == "csv":
-        rows = [
-            (c.check_id, c.status, json.dumps(jsonable(c.witness))) for c in checks
-        ]
+        rows = [(c.check_id, c.status, _dumps(c.witness)) for c in checks]
         return _rows_to_output(["id", "status", "witness"], rows, "csv")
     lines = [f"## verify {suite}", ""]
     lines.append("| check | status |")
     lines.append("|---|---|")
     for c in checks:
-        mark = "pass" if c.ok else f"FAIL {json.dumps(jsonable(c.witness))}"
+        mark = "pass" if c.ok else f"FAIL {_dumps(c.witness)}"
         lines.append(f"| {c.check_id} | {mark} |")
     n_fail = sum(not c.ok for c in checks)
     lines.append("")
@@ -296,7 +299,11 @@ def render_report(suite: str, checks: list[CheckResult], fmt: str, config: dict)
 
 
 def _rows_to_output(header, rows, fmt: str) -> str:
-    rows = [jsonable(list(r)) for r in rows]
+    # each Fraction cell as "num/den", every other cell as it is, row by row
+    rows = (
+        [format_rational(v) if isinstance(v, Fraction) else v for v in r]
+        for r in rows
+    )
     if fmt == "json":
         return json.dumps([dict(zip(header, r)) for r in rows], indent=2)
     if fmt == "csv":
@@ -334,16 +341,14 @@ def cmd_socle(args) -> int:
         "g": query.g,
         "d": list(query.d),
         "method": args.method,
-        "value": format_rational(result.value),
+        "value": result.value,
+        "faber": result.faber_value,
+        "necklace": result.necklace_value,
+        "agree": result.agree,
     }
-    if result.faber_value is not None:
-        payload["faber"] = format_rational(result.faber_value)
-    if result.necklace_value is not None:
-        payload["necklace"] = format_rational(result.necklace_value)
-    if result.agree is not None:
-        payload["agree"] = result.agree
+    payload = {k: v for k, v in payload.items() if v is not None}
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload, indent=2))
     elif args.format == "csv":
         print(_rows_to_output(list(payload), [list(payload.values())], "csv"))
     else:

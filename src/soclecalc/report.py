@@ -1,18 +1,15 @@
 """Structured pass/fail results for the verification checks.
 
 A failed identity is a first-class result, not an exception: the check
-functions return a CheckResult carrying the parameters and, on failure,
-a witness locating the mismatch with both exact values.
+functions return a CheckResult with the parameters and, on failure, a
+witness holding both exact values of the mismatch; the CLI formats them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 
-from .exact import format_rational
-
-__all__ = ["CheckResult", "failed", "jsonable", "passed"]
+__all__ = ["CheckResult", "failed", "passed"]
 
 _set = object.__setattr__
 
@@ -95,17 +92,3 @@ def _fmt(v) -> str:
         return "+".join(str(x) for x in v)
     return str(v)
 
-
-def jsonable(obj):
-    """Recursively convert check payloads to JSON-safe values.
-
-    Fractions become "num/den" strings so that every rational round-trips
-    exactly through the serialized report.
-    """
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj

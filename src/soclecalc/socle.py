@@ -89,14 +89,15 @@ __all__ = [
 # 0.04-0.05 s (Python 3.11.7, 2 vCPUs)
 _MAX_WHEELS = 100_000
 
-# most zero exponents socle_necklace takes: the string recursion takes
-# about 2 levels of the default recursion limit of 1000 per zero (one
-# Python frame and the memo's call), and (z, 0^z) at g=1 first raises
-# RecursionError at z = 496 (Python 3.11.7)
-_MAX_ZEROS = 200
+# largest _depth_bound socle_necklace takes: each level of the string
+# recursion takes 2 of the default recursion limit of 1000 (one Python
+# frame and the memo's call); under pytest, (2, 1^470, 0, 0) at g = 1
+# (bound 471) still evaluates and 480 ones raise RecursionError (Python
+# 3.11.7), so 400 leaves about 70 levels to the caller's frames
+_MAX_DEPTH = 400
 
 # most queries iter_socle_queries yields: g, n <= 18 gives 290 646, which
-# `table socle` evaluates with both methods in 8-9 s with a 382 MB peak
+# `table socle` evaluates with both methods in about 7.7 s with a 294 MB peak
 # (Python 3.11.7, 2 vCPUs)
 _MAX_QUERIES = 300_000
 
@@ -308,6 +309,20 @@ def _canonical(d: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(d, reverse=True))
 
 
+def _depth_bound(d: tuple[int, ...]) -> int:
+    # a bound on how deep _necklace_numerator(g, d) nests below itself, d
+    # canonical: a string step drops one point and leaves a zero, so n - 2
+    # on two or more zeros; each lift moves one unit of some d_i, i >= 1,
+    # onto d[0] until a branch has a zero, so sum(d_i - 1, i >= 1) + 1 on
+    # none; a one-zero list does not recurse
+    zeros = d.count(0)
+    if zeros == 1:
+        return 0
+    if zeros:
+        return len(d) - 2
+    return sum(d[1:]) - len(d) + 2
+
+
 def _exact_quotient(num: int, den: int) -> int:
     # num / den, which the level denominators make an integer
     q, r = divmod(num, den)
@@ -360,19 +375,20 @@ def _necklace_numerator(g: int, d: tuple[int, ...]) -> int:
 def socle_necklace(q: SocleQuery) -> Fraction:
     """String-consistent evaluation through the necklace path.
 
-    Raises ValueError, before any recursion, on more than _MAX_ZEROS
-    zero exponents.  The recursion sums integer numerators over the
-    level denominators; the one Fraction built per query applies the
-    necklace normalization."""
-    zeros = q.d.count(0)
-    if zeros > _MAX_ZEROS:
+    Raises ValueError, before the normalization constant or any
+    recursion, when the recursion's depth bound passes _MAX_DEPTH.  The
+    recursion sums integer numerators over the level denominators; the
+    one Fraction built per query applies the necklace normalization."""
+    d = _canonical(q.d)
+    depth = _depth_bound(d)
+    if depth > _MAX_DEPTH:
         raise ValueError(
-            f"the necklace path takes at most {_MAX_ZEROS} zero exponents, "
-            f"got {zeros}"
+            f"the necklace path recurses at most {_MAX_DEPTH} levels deep; "
+            f"d needs up to {depth}"
         )
     c = _necklace_normalization(q.g, q.n - 1)
     return Fraction(
-        c.numerator * _necklace_numerator(q.g, _canonical(q.d)),
+        c.numerator * _necklace_numerator(q.g, d),
         c.denominator * _level_denominator(q.g, q.n),
     )
 

@@ -6,9 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from soclecalc import cli, elliptic
-from soclecalc.cli import _MAX_LISTS, _positive_list_count, _positive_lists, main
-from soclecalc.socle import _MAX_QUERIES, _MAX_ZEROS, _query_count
+from soclecalc import cli, elliptic, socle
+from soclecalc.cli import (
+    _MAX_LISTS,
+    FORMATS,
+    _positive_list_count,
+    _positive_lists,
+    main,
+    render_report,
+)
+from soclecalc.report import failed, passed
+from soclecalc.socle import _MAX_DEPTH, _MAX_QUERIES, _query_count
 
 
 def run(capsys, *argv):
@@ -77,18 +85,57 @@ def test_socle_value_outside_closed_formula_domain(capsys):
 
 
 def test_socle_zero_limit(capsys):
-    # (k+1, 0^k) at g=2 string-reduces to (2, 0), whose value is 1/2880
+    # (k+1, 0^k) at g=2 string-reduces to (2, 0), whose value is 1/2880;
+    # its recursion depth bound is k - 1, one string step per extra zero
     def d(zeros):
         return ",".join([str(zeros + 1)] + ["0"] * zeros)
 
     code, out, _ = run(
-        capsys, "socle", "--g", "2", "--d", d(_MAX_ZEROS), "--method", "necklace"
+        capsys, "socle", "--g", "2", "--d", d(_MAX_DEPTH + 1), "--method", "necklace"
     )
     assert (code, out.strip()) == (0, "1/2880")
-    code, out, err = run(capsys, "socle", "--g", "2", "--d", d(_MAX_ZEROS + 1))
+    code, out, err = run(capsys, "socle", "--g", "2", "--d", d(_MAX_DEPTH + 2))
     assert code == 1
     assert out == ""
-    assert f"at most {_MAX_ZEROS} zero exponents, got {_MAX_ZEROS + 1}" in err
+    assert f"at most {_MAX_DEPTH} levels deep; d needs up to {_MAX_DEPTH + 1}" in err
+
+
+def _ones(k):
+    # (2, 1^k, 0, 0) at g=1: each string step that decrements a 1 keeps
+    # both zeros, so the recursion is k + 1 levels deep
+    return ",".join(["2"] + ["1"] * k + ["0", "0"])
+
+
+@pytest.mark.parametrize(
+    "g, d, depth",
+    [
+        (1, _ones(520), 521),
+        # zero-free: each lift moves one unit onto the largest exponent
+        (522, ",".join(["2"] * 520), 520),
+        (1000, "500,500", 500),
+    ],
+    ids=["ones", "twos", "pair"],
+)
+def test_socle_depth_limit_refuses_each_shape(capsys, g, d, depth):
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "socle", "--g", str(g), "--d", d, "--method", "necklace"
+    )
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("soclecalc socle: error: ")
+    assert f"at most {_MAX_DEPTH} levels deep; d needs up to {depth}" in err
+
+
+def test_socle_list_at_the_depth_limit(capsys):
+    # from a cold memo, so the recursion really runs _MAX_DEPTH levels
+    # deep under pytest's own frames
+    d = _ones(_MAX_DEPTH - 1)
+    assert socle._depth_bound(tuple(map(int, d.split(",")))) == _MAX_DEPTH
+    socle._necklace_numerator.cache_clear()
+    code, out, _ = run(capsys, "socle", "--g", "1", "--d", d, "--method", "necklace")
+    assert code == 0
+    assert Fraction(out.strip()) > 0
 
 
 @pytest.mark.parametrize(
@@ -347,6 +394,51 @@ def test_usage_errors_name_their_subcommand(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"soclecalc {argv[0]}: error:")
+
+
+# recorded at the commit before the CLI wrote Fractions through json's
+# default hook and its cell formatter instead of a converted copy of each
+# witness: a Fraction(3) as "3/1", a negative Fraction, a tuple holding a
+# Fraction, a list and a string, and a passing check's null witness
+FAILING_REPORT = {
+    "json": (
+        '{\n  "suite": "demo",\n  "checks": [\n    {\n      "id": "demo.scalar[k=1]",'
+        '\n      "status": "fail",\n      "witness": "3/1"\n    },\n    {\n      "id": '
+        '"demo.mixed[g=2,d=1+0]",\n      "status": "fail",\n      "witness": {\n       '
+        ' "lhs": "-5/7",\n        "rhs": [\n          "1/2",\n          4\n        ],\n'
+        '        "where": [\n          1,\n          2\n        ],\n        "note": '
+        '"text"\n      }\n    },\n    {\n      "id": "demo.ok[g=1]",\n      "status": '
+        '"pass",\n      "witness": null\n    }\n  ],\n  "config": {\n    "g_max": 2\n'
+        "  }\n}"
+    ),
+    "csv": (
+        'id,status,witness\r\ndemo.scalar[k=1],fail,"""3/1"""\r\n"demo.mixed[g=2,'
+        'd=1+0]",fail,"{""lhs"": ""-5/7"", ""rhs"": [""1/2"", 4], ""where"": [1, 2], '
+        '""note"": ""text""}"\r\ndemo.ok[g=1],pass,null\r'
+    ),
+    "markdown": (
+        '## verify demo\n\n| check | status |\n|---|---|\n| demo.scalar[k=1] | FAIL '
+        '"3/1" |\n| demo.mixed[g=2,d=1+0] | FAIL {"lhs": "-5/7", "rhs": ["1/2", 4], '
+        '"where": [1, 2], "note": "text"} |\n| demo.ok[g=1] | pass |\n\n3 checks, 1 '
+        "passed, 2 failed"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_failing_report_bytes(fmt):
+    witness = {
+        "lhs": Fraction(-5, 7),
+        "rhs": (Fraction(1, 2), 4),
+        "where": [1, 2],
+        "note": "text",
+    }
+    checks = [
+        failed("demo.scalar", Fraction(3), k=1),
+        failed("demo.mixed", witness, g=2, d=(1, 0)),
+        passed("demo.ok", g=1),
+    ]
+    assert render_report("demo", checks, fmt, {"g_max": 2}) == FAILING_REPORT[fmt]
 
 
 def test_table_socle_csv(capsys):

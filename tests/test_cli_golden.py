@@ -38,6 +38,15 @@ stopped echoing every flag and began listing only the flags its suites
 read (`cli.SUITES`).  With the `config` key deleted, each of their
 payloads and exit codes equals the one printed before; the other seven
 rows (markdown, csv, `socle`, `table`) kept their digests.
+
+The last six rows were recorded at the commit before the CLI wrote its
+`Fraction`s through json's `default` hook and one cell formatter instead
+of a converted copy of each payload: `table socle` as JSON and as
+markdown, `table dr` as JSON, `table eisenstein` as CSV, and `socle` as
+markdown with `--method both` and with `--method faber`, each at a small
+size, so that every format of every command the change touched is
+pinned.  Their checks all pass; test_cli.py's
+test_failing_report_bytes pins the witnesses of failing checks.
 """
 
 import hashlib
@@ -143,6 +152,36 @@ GOLDEN = [
         "verify relation --g-max 5 --m-max 4 --format csv",
         0,
         "894be7ea0a12489962e4c466ee2bfb66e5474b951949fcdfee75b3f5485012ba",
+    ),
+    (
+        "table socle --g-max 4 --n-max 4 --format json",
+        0,
+        "cddd66925c2f74a198a93330af74a3820a894fbc5b76aa027accf8cf85ab0dea",
+    ),
+    (
+        "table socle --g-max 4 --n-max 4",
+        0,
+        "37785b82979fba0abe96ef6ec3c9fe570e0b3fdcafe453bb956bf11a1d7a27ec",
+    ),
+    (
+        "table dr --g-max 3 --a-max 2 --format json",
+        0,
+        "04884076ded735920219c275bf498751c8a79909effea87b96d47303825b329b",
+    ),
+    (
+        "table eisenstein --k 2,4,8 --order 6 --format csv",
+        0,
+        "8b8239d0b0b8d86da902a071c745ecf9c5f2c6ae78601b896d11fd27c2da7e6b",
+    ),
+    (
+        "socle --g 1 --d 2,0,0 --method both",
+        2,
+        "0e57fd1727aa9e9eb48fae992bfd497d3526a8fde95a9e4349d10fee22e03e0d",
+    ),
+    (
+        "socle --g 3 --d 3,1,0 --method faber",
+        0,
+        "d4ab8a88d6da532ff727f456f1848e6d365db01814231c651175a6b0b65186fb",
     ),
 ]
 

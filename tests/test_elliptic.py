@@ -353,7 +353,8 @@ def test_top_weight_failures_carry_their_witnesses(monkeypatch):
             "construction": value,
             "series": value + 1,
         }
-        # both values stay Fractions: jsonable writes an int without "/1"
+        # both values stay Fractions: the CLI's json default hook writes an
+        # int without "/1"
         assert type(res.witness["construction"]) is Fraction
         assert type(res.witness["series"]) is Fraction
 

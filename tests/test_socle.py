@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
 
@@ -622,6 +623,36 @@ def _dilaton_misses(value, queries):
         for q in queries
         if value(SocleQuery(q.g, q.d + (1,))) != (2 * q.g - 2 + q.n) * value(q)
     ]
+
+
+def test_depth_bound_covers_the_recursion(monkeypatch):
+    # from a cold memo per query, the longest chain of nested
+    # _necklace_numerator calls never passes _depth_bound, and reaches it
+    # on each of the three shapes the bound distinguishes
+    honest = socle._necklace_numerator.__wrapped__
+    depth = [0, 0]
+
+    @lru_cache(maxsize=None)
+    def counted(g, d):
+        depth[0] += 1
+        depth[1] = max(depth[1], depth[0])
+        try:
+            return honest(g, d)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(socle, "_necklace_numerator", counted)
+    reached = set()
+    for q in iter_socle_queries(7, 7):
+        d = socle._canonical(q.d)
+        counted.cache_clear()
+        depth[1] = 0
+        counted(q.g, d)
+        bound = socle._depth_bound(d)
+        assert depth[1] - 1 <= bound, (q.g, d)
+        if depth[1] - 1 == bound:
+            reached.add(min(d.count(0), 2))
+    assert reached == {0, 1, 2}
 
 
 def test_dilaton_equation():
