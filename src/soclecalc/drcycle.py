@@ -5,11 +5,13 @@ Two deliberately independent evaluators are provided for the three-point
 integral: a closed summation formula (dr3_closed) and a genus recursion
 (dr3_recursive).  Their exact agreement is the module's principal
 self-check, so they share no code beyond integer arithmetic.  Each sums
-an integer numerator over a denominator it knows in closed form and
-builds one Fraction at the end.  The recursion also serves the wheel
-oracle (socle.wheel_collapse_check), whose literal side takes its vertex
-integrals from dr3_recursive while the collapsed side takes them from
-dr3_closed through dr_standard.
+an integer numerator over a denominator it knows in closed form
+(_dr3_closed_core, _dr3_rec) and builds one Fraction at the end.  The
+check dr3_oracle_check compares the two integer cores by
+cross-multiplying and builds Fractions only for a failing witness.  The
+recursion also serves the wheel oracle (socle.wheel_collapse_check),
+whose literal side takes its vertex integrals from dr3_recursive while
+the collapsed side takes them from dr3_closed through dr_standard.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "dr2",
     "dr3_bssz_check",
     "dr3_closed",
+    "dr3_oracle_check",
     "dr3_recursive",
     "dr_standard",
 ]
@@ -39,6 +42,11 @@ def dr3_closed(g: int, a1: int, a2: int) -> Fraction:
     polynomial of degree 2g in (a1, a2); defined for all integer
     multiplicities including zero and mixed signs.
     """
+    return Fraction(*_dr3_closed_core(g, a1, a2))
+
+
+def _dr3_closed_core(g: int, a1: int, a2: int) -> tuple[int, int]:
+    # dr3_closed's numerator and denominator, neither reduced
     if g < 0:
         raise ValueError("genus must be >= 0")
     s2 = (a1 + a2) ** 2
@@ -52,7 +60,7 @@ def dr3_closed(g: int, a1: int, a2: int) -> Fraction:
             odd *= 2 * j - 1
             falling //= j
         num += odd * 2 ** (g - j) * falling * s2**j * p ** (g - j)
-    return Fraction(num, 12**g * double_factorial_odd(2 * g + 1) * 2**g * g_fact)
+    return num, 12**g * double_factorial_odd(2 * g + 1) * 2**g * g_fact
 
 
 @lru_cache(maxsize=None)
@@ -74,10 +82,27 @@ def _dr3_rec(g: int, p: int, s2: int) -> tuple[int, int, int]:
 def dr3_recursive(g: int, a1: int, a2: int) -> Fraction:
     """Independent evaluator for the same integral, by the genus
     recursion (2g+1) I_g = s2^g / (24^g g!) + (p/12) I_{g-1}, I_0 = 1."""
+    return Fraction(*_dr3_recursive_core(g, a1, a2))
+
+
+def _dr3_recursive_core(g: int, a1: int, a2: int) -> tuple[int, int]:
+    # dr3_recursive's numerator and denominator, neither reduced
     if g < 0:
         raise ValueError("genus must be >= 0")
     num, _, den = _dr3_rec(g, a1 * a1 - a1 * a2 + a2 * a2, (a1 + a2) ** 2)
-    return Fraction(num, den)
+    return num, den
+
+
+def dr3_oracle_check(g: int, a1: int, a2: int) -> CheckResult:
+    """Exact agreement of the closed form with the genus recursion,
+    compared as integer numerators over their known denominators; the
+    witness holds both values."""
+    cn, cd = _dr3_closed_core(g, a1, a2)
+    rn, rd = _dr3_recursive_core(g, a1, a2)
+    if cn * rd == rn * cd:
+        return passed("dr.oracle", g=g, a1=a1, a2=a2)
+    witness = {"closed": Fraction(cn, cd), "recursive": Fraction(rn, rd)}
+    return failed("dr.oracle", witness, g=g, a1=a1, a2=a2)
 
 
 def dr2(g: int, b: int) -> Fraction:

@@ -162,7 +162,7 @@ def necklace_coefficient_series(
     and every q^n coefficient with n >= 1 stays exact.
     """
     row = _necklace_row(g, j_plus, j_minus, q_order)
-    return QSeries(row, constant_known=j_minus >= 1)
+    return QSeries._built(row, constant_known=j_minus >= 1)
 
 
 def _necklace_row(g: int, j_plus: int, j_minus: int, q_order: int) -> list[int]:

@@ -40,6 +40,17 @@ class QSeries(_Frozen):
         _set(self, "coeffs", coeffs)
         _set(self, "constant_known", constant_known)
 
+    @classmethod
+    def _built(cls, row, constant_known: bool) -> QSeries:
+        """The series of an integer row that the package built itself, so
+        no coefficient is validated: each becomes a Fraction, and the row's
+        q^0 entry is already the placeholder 0 when constant_known is
+        false, the public constructor's canonical form."""
+        s = cls.__new__(cls)
+        _set(s, "coeffs", tuple(map(Fraction, row)))
+        _set(s, "constant_known", constant_known)
+        return s
+
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

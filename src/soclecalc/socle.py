@@ -40,6 +40,13 @@ oracle takes each vertex integral from the genus recursion
 dr3_recursive, while necklace_lhs takes it from the closed formula
 behind dr_standard, so the check also certifies the per-vertex value.
 
+The checks compare integers too.  faber and necklace_lhs are Fractions
+of integer cores (_faber_core, _dr_product); the string and relation
+checks sum and cross-multiply those numerators over their denominators,
+and the wheel oracle adds integer numerators over the target's one
+denominator and builds one Fraction.  A Fraction is built for a check
+only as the witness of a failing one.
+
 Domain caveat, established by exact computation and documented in the
 test suite: the two paths agree for every query with at most one zero
 exponent, and provably disagree as soon as two or more exponents are
@@ -85,8 +92,8 @@ __all__ = [
 
 
 # largest literal wheel sum wheel_collapse_check will build: at about
-# 0.45 microseconds per wheel, the 95 040 wheels of g = 8, m = 6 take
-# 0.04-0.05 s (Python 3.11.7, 2 vCPUs)
+# 0.45-0.50 microseconds per wheel, the 95 040 wheels of g = 8, m = 6
+# take 0.04-0.05 s (Python 3.11.7, 2 vCPUs)
 _MAX_WHEELS = 100_000
 
 # largest _depth_bound socle_necklace takes: each level of the string
@@ -187,10 +194,15 @@ def faber(q: SocleQuery) -> Fraction:
     string-consistent evaluation iff at most one exponent is zero (see
     the module docstring).
     """
+    return Fraction(*_faber_core(q))
+
+
+def _faber_core(q: SocleQuery) -> tuple[int, int]:
+    # faber's numerator and denominator, neither reduced
     num, den = _faber_prefactor(q.g, q.n)
     for di in q.d:
         den *= double_factorial_odd(2 * di - 1)
-    return Fraction(num, den)
+    return num, den
 
 
 def _dr_product(d: tuple[int, ...]) -> tuple[int, int]:
@@ -217,6 +229,12 @@ def necklace_lhs(g: int, d: Sequence[int]) -> Fraction:
     checked against the literal sum by wheel_collapse_check; this
     function uses only ramification-cycle data and enumerates no wheels.
     """
+    return Fraction(*_dr_product(_wheel_exponents(g, d)))
+
+
+def _wheel_exponents(g: int, d: Sequence[int]) -> tuple[int, ...]:
+    # d as a tuple of m >= 1 positive exponents with sum(d_i - 1) = g - 1,
+    # else ValueError
     d = tuple(map(index, d))
     if not d or any(x < 1 for x in d):
         raise ValueError(f"need m >= 1 positive exponents, got {d}")
@@ -224,21 +242,22 @@ def necklace_lhs(g: int, d: Sequence[int]) -> Fraction:
         raise DimensionError(
             f"sum(d_i - 1) = {sum(x - 1 for x in d)} but g-1 = {g - 1}"
         )
-    return Fraction(*_dr_product(d))
+    return d
 
 
 def _literal_wheel_sum(g: int, d: tuple[int, ...]) -> Fraction:
     # the oracle side of wheel_collapse_check: every oriented wheel; one
     # whose vertex genera are the exponents minus one adds the product of
-    # its vertex integrals, taken from the genus recursion dr3_recursive
+    # its vertex integrals, taken from the genus recursion dr3_recursive,
+    # as an integer numerator over the target's one denominator
     target = tuple(x - 1 for x in d)
-    total = Fraction(0)
+    vertex = {k: dr3_recursive(k, 1, -1) for k in set(target)}
+    den = prod(vertex[k].denominator for k in target)
+    total = 0
     for wheel in iter_wheels(len(d), g - 1):
         if wheel.genera == target:
-            total += prod(
-                (dr3_recursive(k, 1, -1) for k in wheel.genera), start=Fraction(1)
-            )
-    return total / factorial(len(d) - 1)
+            total += prod(vertex[k].numerator for k in wheel.genera)
+    return Fraction(total, den * factorial(len(d) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -420,22 +439,27 @@ def socle_compute(q: SocleQuery, method: str = "both") -> SocleResult:
     or both (reporting agreement)."""
     if method not in ("faber", "necklace", "both"):
         raise ValueError(f"unknown method {method!r}")
-    fv = faber(q) if method in ("faber", "both") else None
+    # the necklace side first: it refuses a list past its depth limit
+    # before faber reads a Bernoulli number
     nv = socle_necklace(q) if method in ("necklace", "both") else None
+    fv = faber(q) if method in ("faber", "both") else None
     return SocleResult(fv, nv)
 
 
-def _faber_string_sum(g: int, d: tuple[int, ...]) -> Fraction:
-    """The closed formula summed over the string reductions of d.
+def _faber_string_sum(g: int, d: tuple[int, ...]) -> tuple[int, int]:
+    """The closed formula summed over the string reductions of d, as an
+    integer numerator and denominator, neither reduced.
 
     It steps through the per-slot string_apply, not the necklace
     recursion's grouped _string_step: string_apply is the literal string
     equation, which the mutation row that drops its last branch perturbs
     and the tests compare the grouped recursion with, so the check side
     keeps its own step."""
-    return sum(
-        (faber(SocleQuery(g, rd)) for rd in string_apply(d)), Fraction(0)
-    )
+    num, den = 0, 1
+    for rd in string_apply(d):
+        n, e = _faber_core(SocleQuery(g, rd))
+        num, den = num * e + n * den, den * e
+    return num, den
 
 
 def verify_string_consistency(g: int, d: Sequence[int]) -> CheckResult:
@@ -447,13 +471,13 @@ def verify_string_consistency(g: int, d: Sequence[int]) -> CheckResult:
     if total != g - 1 + n:
         raise DimensionError(f"sum(d) = {total} but g-1+n = {g - 1 + n}")
     appended = d + (0,)
-    lhs = faber(SocleQuery(g, appended))
-    rhs = _faber_string_sum(g, appended)
-    if lhs == rhs:
+    ln, ld = _faber_core(SocleQuery(g, appended))
+    rn, rd = _faber_string_sum(g, appended)
+    if ln * rd == rn * ld:
         return passed("socle.string_consistency", g=g, d=d)
     return failed(
         "socle.string_consistency",
-        {"appended": appended, "lhs": lhs, "rhs": rhs},
+        {"appended": appended, "lhs": Fraction(ln, ld), "rhs": Fraction(rn, rd)},
         g=g,
         d=d,
     )
@@ -466,12 +490,15 @@ def relation_integral_check(g: int, d: Sequence[int]) -> CheckResult:
     reductions of the zero-appended list.  The closed formula carries
     Faber's B_2g and the normalization the Eisenstein constant
     [q^0]G_2g of modfit's recurrence, so the check compares the two."""
-    d = tuple(map(index, d))
-    lhs = necklace_lhs(g, d)  # validates d: m >= 1 positive exponents
-    rhs = _faber_string_sum(g, d + (0,)) / _necklace_normalization(g, len(d))
-    if lhs == rhs:
+    d = _wheel_exponents(g, d)
+    ln, ld = _dr_product(d)  # necklace_lhs's value
+    sn, sd = _faber_string_sum(g, d + (0,))
+    c = _necklace_normalization(g, len(d))
+    rn, rd = sn * c.denominator, sd * c.numerator
+    if ln * rd == rn * ld:
         return passed("socle.relation_integral", g=g, d=d)
-    return failed("socle.relation_integral", {"lhs": lhs, "rhs": rhs}, g=g, d=d)
+    witness = {"lhs": Fraction(ln, ld), "rhs": Fraction(rn, rd)}
+    return failed("socle.relation_integral", witness, g=g, d=d)
 
 
 def wheel_collapse_check(g: int, d: Sequence[int]) -> CheckResult:
@@ -479,8 +506,8 @@ def wheel_collapse_check(g: int, d: Sequence[int]) -> CheckResult:
     oriented-wheel sum (lhs) with its collapsed form necklace_lhs (rhs).
 
     The literal sum builds (m-1)! * C(g-2+m, m-1) wheels for m = len(d),
-    a count that grows factorially in m, at about 0.45 microseconds each
-    (Python 3.11.7, 2 vCPUs).  Above _MAX_WHEELS, about 0.05 s of work,
+    a count that grows factorially in m, at about 0.45-0.50 microseconds
+    each (Python 3.11.7, 2 vCPUs).  Above _MAX_WHEELS, about 0.05 s of work,
     this raises ValueError before any wheel is built.  The literal side takes
     its vertex integrals from dr3_recursive and the collapsed side from
     dr3_closed (through dr_standard), so a wrong per-vertex value fails

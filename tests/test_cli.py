@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from soclecalc import cli, elliptic, socle
+from soclecalc import cli, elliptic, exact, socle
 from soclecalc.cli import (
     _MAX_LISTS,
     FORMATS,
@@ -125,6 +125,18 @@ def test_socle_depth_limit_refuses_each_shape(capsys, g, d, depth):
     assert (code, out) == (1, "")
     assert err.startswith("soclecalc socle: error: ")
     assert f"at most {_MAX_DEPTH} levels deep; d needs up to {depth}" in err
+
+
+def test_socle_depth_limit_refuses_before_faber(capsys, monkeypatch):
+    # the default --method both evaluates the necklace side first, so the
+    # refusal comes before faber reads B_2000, about 5 s from a cold
+    # Bernoulli cache
+    monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1)])
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "socle", "--g", "1000", "--d", "500,500")
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (1, "")
+    assert f"at most {_MAX_DEPTH} levels deep; d needs up to 500" in err
 
 
 def test_socle_list_at_the_depth_limit(capsys):

@@ -359,6 +359,22 @@ def test_top_weight_failures_carry_their_witnesses(monkeypatch):
         assert type(res.witness["series"]) is Fraction
 
 
+def test_fit_series_is_the_checked_series_of_its_row():
+    # the fit branch builds its series from the integer row without the
+    # constructor's checks: on every split of g <= 3, m <= 4 it equals the
+    # public constructor's series, the j- = 0 placeholder at q^0 included,
+    # and holds only Fractions
+    for g in range(1, 4):
+        for m in range(1, 5):
+            q_order = len(basis(2 * g - 2 + 2 * m)) + 5
+            for j_plus in range(1, m + 1):
+                j_minus = m - j_plus
+                row = elliptic._necklace_row(g, j_plus, j_minus, q_order)
+                series = necklace_coefficient_series(g, j_plus, j_minus, q_order)
+                assert series == QSeries(row, constant_known=j_minus >= 1)
+                assert {type(c) for c in series.coeffs} == {Fraction}
+
+
 def test_the_built_path_builds_no_qseries(monkeypatch):
     # above weight 12 the necklace series reaches the check as its
     # integer row: every split of g = m = 4 (weight 14) passes with

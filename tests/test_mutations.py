@@ -24,12 +24,20 @@ built polynomial with the necklace series' integer row
 (elliptic._necklace_row, which no QSeries carries on this path).  The
 kernel rows perturb one value of a shared sequence or constant; the
 Apostol row there is the construction row's perturbation, caught on the
-socle side through Faber's constant.
+socle side through Faber's constant, and the two dr.oracle rows perturb
+one side each of the three-point oracle, its closed form's integer core
+and its genus recursion.
+
+The dr.oracle, string, relation and wheel checks compare integer
+numerators over their denominators and build Fractions only for a
+witness: every failing one of them must carry the witness that both of
+its sides give when evaluated here in Fractions (WITNESSES).
 """
 
 import importlib
 import pkgutil
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -40,6 +48,7 @@ from soclecalc.elliptic import check_propagator_identity
 from soclecalc.modfit import basis
 from soclecalc.qseries import QSeries, divisor_sigmas
 from soclecalc.socle import (
+    SocleQuery,
     relation_integral_check,
     verify_string_consistency,
     wheel_collapse_check,
@@ -104,6 +113,27 @@ def _doubled_g8(honest):
     return terms
 
 
+def _numerator_plus_one_at(x):
+    # one more in the numerator of an integer core's (num, ...) at genus x
+    def perturb(honest):
+        def core(*args):
+            num, *rest = honest(*args)
+            return (num + 1 if args[0] == x else num, *rest)
+
+        return core
+
+    return perturb
+
+
+def _dr_oracle_g2():
+    # every dr.oracle check of suite_dr at g = 2
+    return [
+        drcycle.dr3_oracle_check(2, a1, a2)
+        for a1 in range(-5, 6)
+        for a2 in range(-5, 6)
+    ]
+
+
 def _drops_last_of_several(honest):
     # a string step that loses its last reduction whenever it has more
     # than one; a one-slot list keeps its single reduction
@@ -157,6 +187,16 @@ CONSTRUCTION_ROWS = {
 
 # label -> (module, name, perturbation, checks, check name(s), witness key)
 KERNEL_ROWS = {
+    # each side of the three-point oracle, perturbed at g = 2: the closed
+    # form's integer core, and the genus recursion behind dr3_recursive
+    "closed three-point core": (
+        drcycle, "_dr3_closed_core", _numerator_plus_one_at(2),
+        _dr_oracle_g2, "dr.oracle", "closed",
+    ),
+    "three-point genus recursion": (
+        drcycle, "_dr3_rec", _numerator_plus_one_at(2),
+        _dr_oracle_g2, "dr.oracle", "recursive",
+    ),
     # the m = 1 target constant 2 [q^0]G_8, read off qseries.eisenstein
     "B_8 doubled": (
         exact, "bernoulli", _doubled_at(8),
@@ -184,10 +224,15 @@ KERNEL_ROWS = {
         "socle.string_consistency", "lhs",
     ),
     # the vertex integral of genus 2, against the closed formula and
-    # against the literal wheel sum, which takes it from dr3_recursive
+    # against the literal wheel sum, which takes it from dr3_recursive;
+    # on one vertex and on two
     "dr_standard(2) doubled": (
         drcycle, "dr_standard", _doubled_at(2),
-        lambda: [relation_integral_check(3, (3,)), wheel_collapse_check(3, (3,))],
+        lambda: [
+            check(g, d)
+            for g, d in ((3, (3,)), (4, (3, 2)))
+            for check in (relation_integral_check, wheel_collapse_check)
+        ],
         {"socle.relation_integral", "socle.wheel_collapse"}, "lhs",
     ),
     # every relation check of g <= 3, m <= 4
@@ -221,6 +266,49 @@ KERNEL_ROWS = {
 }
 
 
+def _faber_sum(g, d):
+    return sum(
+        (socle.faber(SocleQuery(g, rd)) for rd in socle.string_apply(d)),
+        Fraction(0),
+    )
+
+
+def _wheel_sum(g, d):
+    target = tuple(x - 1 for x in d)
+    total = Fraction(0)
+    for wheel in socle.iter_wheels(len(d), g - 1):
+        if wheel.genera == target:
+            total += prod(
+                (drcycle.dr3_recursive(k, 1, -1) for k in wheel.genera),
+                start=Fraction(1),
+            )
+    return total / factorial(len(d) - 1)
+
+
+# check name -> the witness of a failing check from its parameters: both
+# sides evaluated here in Fractions through the module attributes, so
+# under the row's perturbation, against the checks' integer comparisons
+WITNESSES = {
+    "dr.oracle": lambda g, a1, a2: {
+        "closed": drcycle.dr3_closed(g, a1, a2),
+        "recursive": drcycle.dr3_recursive(g, a1, a2),
+    },
+    "socle.string_consistency": lambda g, d: {
+        "appended": d + (0,),
+        "lhs": socle.faber(SocleQuery(g, d + (0,))),
+        "rhs": _faber_sum(g, d + (0,)),
+    },
+    "socle.relation_integral": lambda g, d: {
+        "lhs": socle.necklace_lhs(g, d),
+        "rhs": _faber_sum(g, d + (0,)) / socle._necklace_normalization(g, len(d)),
+    },
+    "socle.wheel_collapse": lambda g, d: {
+        "lhs": _wheel_sum(g, d),
+        "rhs": socle.necklace_lhs(g, d),
+    },
+}
+
+
 def _assert_caught(home, name, perturb, checks, check_name, key, patch):
     names = check_name if isinstance(check_name, set) else {check_name}
     honest = getattr(home, name)
@@ -237,6 +325,9 @@ def _assert_caught(home, name, perturb, checks, check_name, key, patch):
             for r in results:
                 assert not r.ok, r.check_id
                 assert key in r.witness, (r.check_id, r.witness)
+                if r.check in WITNESSES:
+                    expected = WITNESSES[r.check](**r.params)
+                    assert r.witness == expected, r.check_id
     finally:
         _clear_memos()
     assert all(r.ok for r in checks())
