@@ -93,7 +93,7 @@ def _compare_with_propagator(
     lhs = propagator_expansion(q_order, w_order)
     for n in range(q_order + 1):
         for e in range(-2, w_order + 1):
-            a, b = lhs[e][n], rows[e][n]
+            a, b = lhs[e].coeffs[n], rows[e].coeffs[n]
             if a != b:
                 return failed(
                     "elliptic.propagator_identity",
@@ -133,8 +133,9 @@ def check_divisor_power_k_fails(q_order: int, w_order: int) -> CheckResult:
     rows = weierstrass_expansion(q_order, w_order)
     for e in range(0, w_order + 1, 2):
         scale = Fraction(2, factorial(e))
+        constant = rows[e].coeffs[0]
         rows[e] = QSeries(
-            (rows[e][0],) + tuple(scale * x for x in divisor_sigmas(e + 2, q_order))
+            (constant,) + tuple(scale * x for x in divisor_sigmas(e + 2, q_order))
         )
     wrong = _compare_with_propagator(rows, q_order, w_order)
     check = "elliptic.propagator_must_fail_with_divisor_power_k"
@@ -157,18 +158,22 @@ def necklace_coefficient_series(
     Rewriting -a/(1-q^(-a)) = a q^a/(1-q^a) for a > 0 turns every term
     into a^(2g-2+m) q^(a j_minus) (1-q^a)^(-m), and the a < 0 branch is
     the mirror starting at q^(a j_plus), so each coefficient is a finite
-    sum (_necklace_row).  When j_minus = 0 the a > 0 branch has a
-    divergent constant stratum: that q^0 coefficient is marked unknown
-    and every q^n coefficient with n >= 1 stays exact.
+    sum (_necklace_row).  When j_minus = 0 the a > 0 branch has the
+    divergent constant stratum sum_{a>=1} a^K, K = 2g-2+m, and its q^0
+    coefficient is the regularized value zeta(-K) (Zagier's Mellin
+    transform appendix to Zeidler, QFT I); it is 0 when j_minus >= 1.
     """
-    row = _necklace_row(g, j_plus, j_minus, q_order)
-    return QSeries._built(row, constant_known=j_minus >= 1)
+    return QSeries._built(*_necklace_row(g, j_plus, j_minus, q_order))
 
 
-def _necklace_row(g: int, j_plus: int, j_minus: int, q_order: int) -> list[int]:
-    """The q^0 .. q^order coefficients of necklace_coefficient_series as
-    integers.  The q^0 entry is 0: the constant when j_minus >= 1, and a
-    placeholder for the unknown one when j_minus = 0."""
+def _necklace_row(
+    g: int, j_plus: int, j_minus: int, q_order: int
+) -> tuple[int, list[int]]:
+    """(den, den * the q^0 .. q^order coefficients of
+    necklace_coefficient_series as integers).  The q^0 coefficient is
+    zeta(-K) = -B_(K+1)/(K+1) when j_minus = 0, read from bernoulli on
+    this check side (the necklace evaluator of socle reads none), and 0
+    when j_minus >= 1; den is its denominator."""
     g, j_plus, j_minus, q_order = map(index, (g, j_plus, j_minus, q_order))
     if g < 1 or j_plus < 1 or j_minus < 0:
         raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
@@ -182,13 +187,16 @@ def _necklace_row(g: int, j_plus: int, j_minus: int, q_order: int) -> list[int]:
     r = [0] * (q_order + 1)
     for start in (j_minus, j_plus):
         r[start:] = map(add, r[start:], row)
-    # q^n gets a^(2g-2+m) r[n/a] from each divisor a of n; t = 0 is the
-    # divergent stratum, only reachable when j_minus = 0
-    coeffs = [0] * (q_order + 1)
+    # q^n gets a^K r[n/a] from each divisor a of n; t = 0 is the divergent
+    # stratum sum_a a^K r[0], r[0] = 1 when j_minus = 0 and else 0
+    k = 2 * g - 2 + m
+    constant = -bernoulli(k + 1) / (k + 1) if r[0] else Fraction(0)
+    den = constant.denominator
+    coeffs = [constant.numerator] + [0] * q_order
     for a in range(1, q_order + 1):
-        terms = map(mul, repeat(a ** (2 * g - 2 + m)), r[1 : q_order // a + 1])
+        terms = map(mul, repeat(den * a**k), r[1 : q_order // a + 1])
         coeffs[a::a] = map(add, coeffs[a::a], terms)
-    return coeffs
+    return den, coeffs
 
 
 def _top_weight_target(g: int, m: int, q_order: int) -> tuple[int, list[int]]:
@@ -208,11 +216,11 @@ def _top_weight_target(g: int, m: int, q_order: int) -> tuple[int, list[int]]:
     ]
 
 
-def _first_miss(lhs, rhs, start: int = 0) -> int | None:
-    """The first n >= start at which two series given as (den, den * the
+def _first_miss(lhs, rhs) -> int | None:
+    """The first n at which two series given as (den, den * the
     coefficients as integers) differ, by cross-multiplying, or None."""
     (a, xs), (b, ys) = lhs, rhs
-    return next((n for n in range(start, len(ys)) if xs[n] * b != a * ys[n]), None)
+    return next((n for n in range(len(ys)) if xs[n] * b != a * ys[n]), None)
 
 
 # the heaviest top weight that top_weight_check fits, not builds: every
@@ -228,19 +236,20 @@ def top_weight_check(
     weight at most 2g-2+2m and that its top graded part equals
     (2/(m-1)!) (q d/dq)^(m-1) G_2g.
 
-    Up to weight _FIT_MAX_WEIGHT the polynomial is fit to the series
-    (implying the regularized constant when j_minus = 0); fit accepts
-    its candidate on the integer columns, and an inconsistency, reported
+    Up to weight _FIT_MAX_WEIGHT the polynomial is fit to the series; fit
+    accepts its candidate on the integer columns (its constant monomial
+    takes up the q^0 coefficient), and an inconsistency, reported
     verbatim, would falsify quasimodularity at this order.  The fitted
     top graded part is then summed on the same columns by
     modfit._integer_sum.  Above _FIT_MAX_WEIGHT, the sum of the blocks of
     modfit.necklace_blocks must equal the series' integer row
-    (_necklace_row, which no QSeries carries there) at every q-power,
-    q^0 only when j_minus >= 1, and its top graded part is the sum of its
-    blocks D^i G_k of the top weight k + 2i.  Either needs an order that
-    leaves fit its surplus rows (else ValueError).  On both paths the top
-    part is compared with the target in integers by _first_miss; only
-    the fit needs a QSeries.  Each witness is a Fraction.
+    (_necklace_row, which no QSeries carries there) at every q-power from
+    q^0, the regularized constant zeta(-K) included, and its top graded
+    part is the sum of its blocks D^i G_k of the top weight k + 2i.
+    Either needs an order that leaves fit its surplus rows (else
+    ValueError).  On both paths the top part is compared with the target
+    in integers by _first_miss; only the fit needs a QSeries.  Each
+    witness is a Fraction.
     """
     m = j_plus + j_minus
     top_weight = 2 * g - 2 + 2 * m
@@ -256,16 +265,16 @@ def top_weight_check(
             graded_part(result, top_weight).terms.items(), _column, q_order
         )
     else:
-        row = _necklace_row(g, j_plus, j_minus, q_order)
+        row_den, row = _necklace_row(g, j_plus, j_minus, q_order)
         _fit_monomials(top_weight, q_order)  # fit's order precondition
         blocks = necklace_blocks(g, j_plus, j_minus)
         den, built = block_sum(blocks, q_order)
-        n = _first_miss((den, built), (1, row), 0 if j_minus else 1)
+        n = _first_miss((den, built), (row_den, row))
         if n is not None:
             witness = {
                 "construction_q_power": n,
                 "construction": Fraction(built[n], den),
-                "series": Fraction(row[n]),
+                "series": Fraction(row[n], row_den),
             }
             return failed("elliptic.top_weight", witness, **params)
         top = block_sum(

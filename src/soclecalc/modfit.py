@@ -396,9 +396,11 @@ def necklace_blocks(
     is sum_i c_i D^i G_(K-i+1); the c_i (_necklace_coefficients) are the
     polynomial's own Fraction coefficients, the same for every genus, and
     only the nonzero ones are listed.  A nonzero c_i with K - i + 1 odd
-    raises ArithmeticError.  No block is the constant monomial:
-    c_0 = P(0) is nonzero only when j_minus = 0, whose q^0 coefficient
-    the series leaves unknown.
+    raises ArithmeticError.  No block is the constant monomial.  At q^0
+    the sum is c_0 [q^0]G_(K+1), c_0 = P(0) nonzero only when
+    j_minus = 0, and it equals the series' regularized constant
+    zeta(-K) = -B_(K+1)/(K+1): Apostol's constant of G_(K+1) against a
+    Bernoulli number when m is odd, 0 = 0 when m is even.
     """
     if g < 1 or j_plus < 1 or j_minus < 0:
         raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
@@ -457,11 +459,8 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     11 s at 26 (CPython 3.11, 2 vCPUs).  elliptic.top_weight_check fits
     up to its _FIT_MAX_WEIGHT and builds the heavier polynomials.
 
-    With s.constant_known the coefficient of 1 is s[0] minus the
+    The coefficient of 1 is the series' q^0 coefficient minus the
     candidate's q^0 value, the same column sum at q^0 over den det.
-    Without it (a regularized series whose q^0 coefficient is undefined)
-    the polynomial has no constant term and implies a regularized
-    constant, namely its own q^0 value.
 
     Returns the unique matching polynomial, or a FitInconsistency naming
     the first q-power at which no polynomial can match.
@@ -485,8 +484,7 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
     terms = [
         (m, Fraction(scale * x, den * det)) for m, (scale, _), x in zip(monos, cols, w)
     ]
-    if s.constant_known:
-        terms.append(((0, 0, 0), s[0] - Fraction(values[0], den * det)))
+    terms.append(((0, 0, 0), s.coeffs[0] - Fraction(values[0], den * det)))
     return QuasimodularPoly._built(terms)
 
 

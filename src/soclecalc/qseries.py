@@ -4,16 +4,16 @@ A QSeries keeps coefficients of q^0 .. q^order inclusive: a frozen value
 without scalar algebra.  Its product of two series, truncated to the
 smaller order, stays only for the benchmark tracer.
 
-The q^0 slot can be flagged unknown (constant_known=False), for the
-regularized coefficient series whose constant term is only defined
-through a limiting procedure; reading that constant or multiplying by
-the series raises.
+Every series knows its q^0 coefficient: a necklace series whose constant
+stratum diverges carries the zeta-regularized value there
+(elliptic.necklace_coefficient_series).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .exact import bernoulli, rational
 from .report import _Frozen, _set
@@ -28,37 +28,25 @@ class QSeries(_Frozen):
     """Coefficients of q^0 .. q^order, each an int or a Fraction (kept as
     Fractions; anything else raises TypeError)."""
 
-    __slots__ = ("coeffs", "constant_known")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, constant_known: bool = True):
+    def __init__(self, coeffs):
         coeffs = tuple(c if isinstance(c, Fraction) else rational(c) for c in coeffs)
         if not coeffs:
             raise ValueError("QSeries needs at least the q^0 coefficient")
-        if not constant_known:
-            # canonical placeholder so that equality stays structural
-            coeffs = (Fraction(0),) + coeffs[1:]
         _set(self, "coeffs", coeffs)
-        _set(self, "constant_known", constant_known)
 
     @classmethod
-    def _built(cls, row, constant_known: bool) -> QSeries:
-        """The series of an integer row that the package built itself, so
-        no coefficient is validated: each becomes a Fraction, and the row's
-        q^0 entry is already the placeholder 0 when constant_known is
-        false, the public constructor's canonical form."""
+    def _built(cls, den: int, ints) -> QSeries:
+        """The series ints / den of an integer row that the package built
+        itself, so no coefficient is validated: each becomes a Fraction."""
         s = cls.__new__(cls)
-        _set(s, "coeffs", tuple(map(Fraction, row)))
-        _set(s, "constant_known", constant_known)
+        _set(s, "coeffs", tuple(map(Fraction, ints, repeat(den))))
         return s
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        if n == 0 and not self.constant_known:
-            raise ValueError("q^0 coefficient of this series is unknown")
-        return self.coeffs[n]
 
     def __mul__(self, other):
         """The product truncated to the smaller order.  The package
@@ -66,10 +54,6 @@ class QSeries(_Frozen):
         wraps it, and the next change to the benchmark deletes it."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        if not (self.constant_known and other.constant_known):
-            raise ValueError(
-                "cannot multiply series with unknown q^0 coefficient"
-            )
         n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
         for i, ci in enumerate(self.coeffs[: n + 1]):

@@ -20,22 +20,19 @@ def constant(value, order):
 
 
 def scale(s, c):
-    # c times every coefficient; an unknown q^0 stays unknown
+    # c times every coefficient
     c = rational(c)
-    return QSeries(tuple(c * x for x in s.coeffs), s.constant_known)
+    return QSeries(tuple(c * x for x in s.coeffs))
 
 
 def q_d_q(s):
-    # the derivation q d/dq kills the constant, so the result's q^0 is known
+    # the derivation q d/dq, which kills the constant
     return QSeries(tuple(n * c for n, c in enumerate(s.coeffs)))
 
 
 def plus(s, t):
     n = min(s.order, t.order)
-    return QSeries(
-        tuple(s.coeffs[i] + t.coeffs[i] for i in range(n + 1)),
-        s.constant_known and t.constant_known,
-    )
+    return QSeries(tuple(s.coeffs[i] + t.coeffs[i] for i in range(n + 1)))
 
 
 def times(s, t):

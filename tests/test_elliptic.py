@@ -13,10 +13,12 @@ from soclecalc.elliptic import (
     top_weight_check,
     weierstrass_expansion,
 )
+from soclecalc.exact import bernoulli
 from soclecalc.modfit import (
     FitInconsistency,
     QuasimodularPoly,
     basis,
+    block_sum,
     fit,
     graded_part,
     monomial_weight,
@@ -64,7 +66,7 @@ def test_propagator_constant_layer_matches_division_oracle():
     oracle = _pole_part_oracle(8)
     assert sorted(prop) == list(range(-2, 9))
     for e in range(-2, 9):
-        assert prop[e][0] == oracle[e], f"w^{e}"
+        assert prop[e].coeffs[0] == oracle[e], f"w^{e}"
     assert oracle[0] == Fraction(-1, 12)
     assert oracle[2] == Fraction(1, 240)
 
@@ -75,7 +77,7 @@ def test_propagator_first_q_layer_is_symmetrized_exponential():
     expected = {0: 2, 1: 0, 2: 1, 3: 0, 4: Fraction(1, 12), 5: 0,
                 6: Fraction(2, factorial(6))}
     for e, val in expected.items():
-        assert prop[e][1] == val
+        assert prop[e].coeffs[1] == val
 
 
 def test_propagator_pole_layer():
@@ -207,9 +209,28 @@ def test_necklace_series_matches_brute_force(g, jp, jm):
     assert list(ncs.coeffs[start:]) == brute[start:]
 
 
-def test_necklace_series_constant_flag():
-    assert necklace_coefficient_series(1, 2, 0, 4).constant_known is False
-    assert necklace_coefficient_series(1, 1, 1, 4).constant_known is True
+def test_necklace_series_constant_is_regularized():
+    # with j- = 0 the divergent q^0 stratum sum_{a>=1} a^K is zeta(-K),
+    # K = 2g-2+m: zeta(-1) = -1/12, zeta(-3) = 1/120, zeta(-2) = 0; with
+    # j- >= 1 no term reaches q^0
+    assert necklace_coefficient_series(1, 1, 0, 4).coeffs[0] == Fraction(-1, 12)
+    assert necklace_coefficient_series(1, 3, 0, 4).coeffs[0] == Fraction(1, 120)
+    assert necklace_coefficient_series(1, 2, 0, 4).coeffs[0] == 0
+    assert necklace_coefficient_series(1, 1, 1, 4).coeffs[0] == 0
+
+
+def test_regularized_constant_is_the_built_constant_and_zeta():
+    # on every split with j- = 0 and g, m <= 16 the row's q^0 equals the
+    # built polynomial's q^0 (c_0 [q^0]G_(K+1), Apostol's recurrence) and
+    # zeta(-K) = -B_(K+1)/(K+1)
+    for g in range(1, 17):
+        for m in range(1, 17):
+            den, row = elliptic._necklace_row(g, m, 0, 0)
+            bden, built = block_sum(necklace_blocks(g, m, 0), 0)
+            k = 2 * g - 2 + m
+            value = Fraction(row[0], den)
+            assert value == Fraction(built[0], bden), (g, m)
+            assert value == -bernoulli(k + 1) / (k + 1), (g, m)
 
 
 def test_necklace_series_zero_at_order_zero():
@@ -318,13 +339,13 @@ def test_top_weight_failures_carry_their_witnesses(monkeypatch):
     def last_coefficient_plus_one(g, j_plus, j_minus, q_order):
         series = honest(g, j_plus, j_minus, q_order)
         coeffs = series.coeffs[:-1] + (series.coeffs[-1] + 1,)
-        return QSeries(coeffs, series.constant_known)
+        return QSeries(coeffs)
 
     monkeypatch.setattr(
         elliptic, "necklace_coefficient_series", last_coefficient_plus_one
     )
-    # the known-constant mode, then the unknown-constant mode (j- = 0);
-    # no polynomial matches the last row, the witness is that q-power
+    # with j- >= 1, then with j- = 0 (a regularized q^0); no polynomial
+    # matches the last row, the witness is that q-power
     for g, j_plus, j_minus, q_order in ((2, 1, 1, 12), (3, 2, 0, 16)):
         res = top_weight_check(g, j_plus, j_minus, q_order)
         top_weight = 2 * g - 2 + 2 * (j_plus + j_minus)
@@ -334,22 +355,28 @@ def test_top_weight_failures_carry_their_witnesses(monkeypatch):
         }
         assert res.witness["fit_inconsistency"].endswith(f"at q^{q_order}")
     # above weight 12 the built polynomial is compared with the series'
-    # integer row, which no QSeries carries; (5, 3, 0) has an odd m, so
-    # its built polynomial has a nonzero q^0 value, the regularized
-    # constant the series leaves unknown
+    # integer row, which no QSeries carries, from q^0: (5, 3, 0) has an
+    # odd m, so its q^0 is the nonzero regularized constant zeta(-11)
     honest_row = elliptic._necklace_row
+    q_order = len(basis(14)) + 5
 
-    def last_entry_plus_one(g, j_plus, j_minus, q_order):
-        row = honest_row(g, j_plus, j_minus, q_order)
-        return row[:-1] + [row[-1] + 1]
+    def entry_plus_one(at):
+        def row(g, j_plus, j_minus, q_order):
+            den, ints = honest_row(g, j_plus, j_minus, q_order)
+            ints[at] += den
+            return den, ints
 
-    monkeypatch.setattr(elliptic, "_necklace_row", last_entry_plus_one)
-    for g, j_plus, j_minus in ((4, 2, 2), (5, 3, 0)):
-        q_order = len(basis(14)) + 5
+        return row
+
+    for g, j_plus, j_minus, at in (
+        (4, 2, 2, q_order), (5, 3, 0, q_order), (5, 3, 0, 0)
+    ):
+        monkeypatch.setattr(elliptic, "_necklace_row", entry_plus_one(at))
         res = top_weight_check(g, j_plus, j_minus, q_order)
-        value = honest_row(g, j_plus, j_minus, q_order)[q_order]
+        den, ints = honest_row(g, j_plus, j_minus, q_order)
+        value = Fraction(ints[at], den)
         assert res.witness == {
-            "construction_q_power": q_order,
+            "construction_q_power": at,
             "construction": value,
             "series": value + 1,
         }
@@ -357,21 +384,22 @@ def test_top_weight_failures_carry_their_witnesses(monkeypatch):
         # int without "/1"
         assert type(res.witness["construction"]) is Fraction
         assert type(res.witness["series"]) is Fraction
+    assert value == Fraction(691, 32760)  # zeta(-11) = -B_12/12
 
 
 def test_fit_series_is_the_checked_series_of_its_row():
     # the fit branch builds its series from the integer row without the
     # constructor's checks: on every split of g <= 3, m <= 4 it equals the
-    # public constructor's series, the j- = 0 placeholder at q^0 included,
+    # public constructor's series, the j- = 0 regularized q^0 included,
     # and holds only Fractions
     for g in range(1, 4):
         for m in range(1, 5):
             q_order = len(basis(2 * g - 2 + 2 * m)) + 5
             for j_plus in range(1, m + 1):
                 j_minus = m - j_plus
-                row = elliptic._necklace_row(g, j_plus, j_minus, q_order)
+                den, row = elliptic._necklace_row(g, j_plus, j_minus, q_order)
                 series = necklace_coefficient_series(g, j_plus, j_minus, q_order)
-                assert series == QSeries(row, constant_known=j_minus >= 1)
+                assert series == QSeries([Fraction(x, den) for x in row])
                 assert {type(c) for c in series.coeffs} == {Fraction}
 
 
@@ -416,10 +444,9 @@ def test_top_weight_order_rule_is_fit_margin():
 # --- loop factor
 
 def test_loop_coefficient_values():
-    # the single-vertex loop: the one-edge necklace series is 2 G_2g on
-    # every q^n with n >= 1 (its regularized constant is left unknown)
-    assert necklace_coefficient_series(1, 1, 0, 2).coeffs[1:] == (2, 6)
+    # the single-vertex loop: the one-edge necklace series is 2 G_2g, its
+    # regularized constant zeta(1-2g) = -B_2g/(2g) = 2 [q^0]G_2g included
+    assert necklace_coefficient_series(1, 1, 0, 2).coeffs == (Fraction(-1, 12), 2, 6)
     for g in range(1, 7):
         series = necklace_coefficient_series(g, 1, 0, 30)
-        assert not series.constant_known
-        assert series.coeffs[1:] == scale(eisenstein(2 * g, 30), 2).coeffs[1:]
+        assert series == scale(eisenstein(2 * g, 30), 2)

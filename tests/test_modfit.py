@@ -139,21 +139,9 @@ def test_fit_underdetermined_is_an_error():
         modfit.block_sum([(1, 0, 4)], -1)
 
 
-def test_fit_free_constant_mode():
-    # drop the constant: fitting the tail of 3*G4 with a free constant
-    # recovers the G4 coefficient and no pure-constant term
-    s = scale(eisenstein(4, 12), 3)
-    tail = QSeries(s.coeffs, constant_known=False)
-    p = fit(tail, 4)
-    assert p == QuasimodularPoly({(0, 1, 0): 3})
-    # the implied regularized constant is the evaluated q^0 value
-    assert evaluate(p, 0).coeffs[0] == Fraction(3, 240)
-
-
 def test_fit_reads_constant_off_the_series():
-    # the unknown-constant fit is the known-constant fit without its
-    # constant monomial, and that constant is s[0] minus the q^0 value
-    # of the other terms
+    # the fit's constant is the series' q^0 coefficient minus the q^0
+    # value of the other terms
     rng = random.Random(5)
     for weight in (4, 6, 8, 10, 12):
         monos = basis(weight)
@@ -166,11 +154,11 @@ def test_fit_reads_constant_off_the_series():
             s = evaluate(QuasimodularPoly(terms), len(monos) + 6)
             known = fit(s, weight)
             assert known == QuasimodularPoly(terms)
-            free = fit(QSeries(s.coeffs, constant_known=False), weight)
-            rest = {m: c for m, c in known.terms.items() if m != (0, 0, 0)}
-            assert free == QuasimodularPoly(rest)
+            rest = QuasimodularPoly(
+                {m: c for m, c in known.terms.items() if m != (0, 0, 0)}
+            )
             constant = known.terms.get((0, 0, 0), Fraction(0))
-            assert constant == s[0] - evaluate(free, 0)[0]
+            assert constant == s.coeffs[0] - evaluate(rest, 0).coeffs[0]
 
 
 def test_non_integer_exponents_are_rejected():
@@ -286,14 +274,12 @@ def _ref_solve(matrix, rhs):
     return x, consistent
 
 
-def _ref_fit(s, max_weight, free_constant, columns):
-    # with a known constant the reference keeps the q^0 row and the
-    # constant monomial in the system, which fit leaves out and reads
-    # off afterwards; agreement checks that the constant absorbs q^0
+def _ref_fit(s, max_weight, columns):
+    # the reference keeps the q^0 row and the constant monomial in the
+    # system, which fit leaves out and reads off afterwards; agreement
+    # checks that the constant absorbs q^0
     monos = basis(max_weight)
-    if free_constant:
-        monos = [m for m in monos if m != (0, 0, 0)]
-    powers = list(range(1 if free_constant else 0, s.order + 1))
+    powers = list(range(s.order + 1))
     cols = [columns[m] for m in monos]
     matrix = [[col.coeffs[n] for col in cols] for n in powers]
     rhs = [s.coeffs[n] for n in powers]
@@ -313,13 +299,12 @@ def test_fit_matches_gauss_jordan_reference():
     # truncations of the longest: a truncated product is the product of
     # the truncations
     longest = {m: monomial_series(m, 30) for m in basis(12)}
-    seen = {"consistent": 0, "inconsistent": 0, "free": 0, "fixed": 0}
+    seen = {"consistent": 0, "inconsistent": 0}
     weights = set()
     for trial in range(200):
         weight = rng.choice((4, 6, 8, 10, 12))
-        free = trial % 2 == 1
-        monos = [m for m in basis(weight) if not (free and m == (0, 0, 0))]
-        order = len(monos) + (0 if free else -1) + 5 + rng.randint(0, 2)
+        monos = basis(weight)
+        order = len(monos) - 1 + 5 + rng.randint(0, 2)
         if order not in columns:
             columns[order] = {
                 m: QSeries(c.coeffs[: order + 1]) for m, c in longest.items()
@@ -333,15 +318,14 @@ def test_fit_matches_gauss_jordan_reference():
             for n, x in enumerate(columns[order][m].coeffs):
                 coeffs[n] += c * x
         if trial % 4 >= 2:  # perturb one coefficient the fit reads
-            n = rng.randint(1 if free else 0, order)
+            n = rng.randint(0, order)
             bump = Fraction(rng.randint(1, 5), rng.randint(1, 7))
             coeffs[n] += bump if rng.random() < 0.5 else -bump
-        s = QSeries(tuple(coeffs), constant_known=not free)
+        s = QSeries(tuple(coeffs))
         got = fit(s, weight)
-        ref = _ref_fit(s, weight, free, columns[order])
-        assert got == ref, (trial, weight, free)
+        ref = _ref_fit(s, weight, columns[order])
+        assert got == ref, (trial, weight)
         seen["inconsistent" if isinstance(got, FitInconsistency) else "consistent"] += 1
-        seen["free" if free else "fixed"] += 1
         weights.add(weight)
     assert weights == {4, 6, 8, 10, 12}
     assert min(seen.values()) >= 50, seen
@@ -351,35 +335,32 @@ def _oracle_acceptance(s, max_weight):
     # fit's candidate, the solution of the rows q^1 .. q^C for the C
     # non-constant monomials, solved and evaluated in Fractions: the
     # first q^n >= 1 where its evaluation misses s, else the candidate
-    # with s[0] minus its q^0 value as the constant when s knows q^0
+    # with s's q^0 coefficient minus its q^0 value as the constant
     monos = basis(max_weight)[1:]
     powers = range(1, len(monos) + 1)
     matrix = [[monomial_series(m, s.order).coeffs[n] for m in monos] for n in powers]
     coeffs, _ = _ref_solve(matrix, [s.coeffs[n] for n in powers])
     candidate = QuasimodularPoly(dict(zip(monos, coeffs)))
-    value = evaluate(candidate, s.order)
+    value = evaluate(candidate, s.order).coeffs
     miss = next((n for n in range(1, s.order + 1) if value[n] != s.coeffs[n]), None)
     if miss:
         return FitInconsistency(miss, max_weight)
-    if not s.constant_known:
-        return candidate
-    return QuasimodularPoly({**candidate.terms, (0, 0, 0): s[0] - value[0]})
+    constant = s.coeffs[0] - value[0]
+    return QuasimodularPoly({**candidate.terms, (0, 0, 0): constant})
 
 
 def test_integer_acceptance_matches_the_fraction_oracle():
     # single coefficients of fitted series perturbed (the leading rows,
-    # the surplus rows and q^0), in both constant modes, next to series
-    # that are not quasimodular: fit names the same first inconsistent
+    # the surplus rows and q^0), next to series that are not
+    # quasimodular: fit names the same first inconsistent
     # power, or the same polynomial with the same constant term, as
     # evaluating its candidate in Fractions
     rng = random.Random(31)
     seen = {"consistent": 0, "inconsistent": 0, "leading": 0, "surplus": 0}
-    modes = set()
     for trial in range(60):
         weight = rng.choice((2, 4, 6, 8, 10, 12))
         monos = basis(weight)
         order = len(monos) + 4 + rng.randint(0, 3)
-        known = trial % 2 == 0
         if trial % 6 == 5:
             # random rationals: not quasimodular at any weight
             coeffs = [
@@ -396,12 +377,10 @@ def test_integer_acceptance_matches_the_fraction_oracle():
                 n = rng.randint(0, order)
                 coeffs[n] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), 7)
                 seen["leading" if 1 <= n < len(monos) else "surplus"] += 1
-        s = QSeries(coeffs, constant_known=known)
+        s = QSeries(coeffs)
         got = fit(s, weight)
-        assert got == _oracle_acceptance(s, weight), (trial, weight, known)
+        assert got == _oracle_acceptance(s, weight), (trial, weight)
         seen["inconsistent" if isinstance(got, FitInconsistency) else "consistent"] += 1
-        modes.add((known, isinstance(got, FitInconsistency)))
-    assert len(modes) == 4
     assert min(seen.values()) >= 10, seen
 
 

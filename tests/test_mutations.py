@@ -176,6 +176,14 @@ def _top_weight_g4_m4():
     return [top_weight_check(4, j_plus, 4 - j_plus, q_order) for j_plus in (4, 2)]
 
 
+def _top_weight_at_q0_k13():
+    # (5, 5, 0) and (6, 3, 0), each at its `verify all` order; a failing
+    # one misses at q^0
+    results = [top_weight_check(5, 5, 0, 58), top_weight_check(6, 3, 0, 46)]
+    assert all(r.ok or r.witness["construction_q_power"] == 0 for r in results)
+    return results
+
+
 # label -> (module, name, perturbation); each must fail both checks of
 # _top_weight_g4_m4 through the construction comparison
 CONSTRUCTION_ROWS = {
@@ -196,6 +204,13 @@ KERNEL_ROWS = {
     "three-point genus recursion": (
         drcycle, "_dr3_rec", _numerator_plus_one_at(2),
         _dr_oracle_g2, "dr.oracle", "recursive",
+    ),
+    # the regularized constant zeta(-13) = -B_14/14 of the two j- = 0,
+    # odd-m splits with K = 13 of `verify all` (g, m <= 6), against the
+    # built polynomial's 2 [q^0]G_14 from Apostol's recurrence
+    "B_14 doubled": (
+        exact, "bernoulli", _doubled_at(14),
+        _top_weight_at_q0_k13, "elliptic.top_weight", "construction_q_power",
     ),
     # the m = 1 target constant 2 [q^0]G_8, read off qseries.eisenstein
     "B_8 doubled": (

@@ -112,8 +112,8 @@ VALUES = {
     ),
     "QSeries": (
         lambda: QSeries((1, Fraction(1, 2))),
-        lambda: QSeries((1, Fraction(1, 2)), constant_known=False),
-        "QSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)), constant_known=True)",
+        lambda: QSeries((1, Fraction(1, 3))),
+        "QSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)))",
     ),
     "FitInconsistency": (
         lambda: FitInconsistency(7, 12),

@@ -6,11 +6,11 @@ import pytest
 from soclecalc.qseries import QSeries, divisor_sigmas, eisenstein
 
 
-def _random_series(rng, order, constant_known=True):
+def _random_series(rng, order):
     coeffs = tuple(
         Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)
     )
-    return QSeries(coeffs, constant_known)
+    return QSeries(coeffs)
 
 
 def test_ring_arithmetic_basics():
@@ -80,17 +80,6 @@ def test_divisor_sigma_brute_force_definition():
             )
 
 
-def test_unknown_constant_propagation():
-    u = QSeries((99, 2, 3), constant_known=False)
-    # placeholder is canonicalized, so equality stays structural
-    assert u.coeffs[0] == 0
-    known = QSeries((1, 1, 1))
-    with pytest.raises(ValueError):
-        u * known
-    with pytest.raises(ValueError):
-        u[0]
-
-
 def test_coefficients_are_fractions_and_fractions_are_kept():
     half = Fraction(1, 2)
     s = QSeries([1, half, Fraction(3)])
@@ -105,6 +94,6 @@ def test_coefficients_must_be_ints_or_fractions(bad):
     with pytest.raises(TypeError):
         QSeries((bad,))
     with pytest.raises(TypeError):
-        QSeries((1, bad), constant_known=False)
+        QSeries((1, bad))
     with pytest.raises(TypeError):
         QSeries((bad, 0, 0))
