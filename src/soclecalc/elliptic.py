@@ -21,12 +21,11 @@ from operator import add, index, mul
 from .exact import bernoulli, factorial
 from .modfit import (
     FitInconsistency,
-    _column,
+    _block_polynomial,
     _fit_monomials,
-    _integer_sum,
+    basis,
     block_sum,
     fit,
-    graded_part,
     necklace_blocks,
 )
 from .qseries import QSeries, divisor_sigmas, eisenstein
@@ -35,7 +34,6 @@ from .report import CheckResult, failed, passed
 __all__ = [
     "check_divisor_power_k_fails",
     "check_propagator_identity",
-    "necklace_coefficient_series",
     "propagator_expansion",
     "top_weight_check",
     "weierstrass_expansion",
@@ -146,34 +144,23 @@ def check_divisor_power_k_fails(q_order: int, w_order: int) -> CheckResult:
     return passed(check, **params, mismatch_at=where)
 
 
-def necklace_coefficient_series(
+def _necklace_row(
     g: int, j_plus: int, j_minus: int, q_order: int
-) -> QSeries:
-    """Exact truncation of the coefficient series of an oriented
-    necklace with j_plus edges aligned with the orientation and j_minus
-    against it:
+) -> tuple[int, list[int]]:
+    """(den, den * the q^0 .. q^order coefficients as integers) of the
+    coefficient series of an oriented necklace with j_plus edges aligned
+    with the orientation and j_minus against it:
 
         sum_{a != 0} a^(2g-2) (a/(1-q^a))^j_plus (-a/(1-q^(-a)))^j_minus.
 
     Rewriting -a/(1-q^(-a)) = a q^a/(1-q^a) for a > 0 turns every term
     into a^(2g-2+m) q^(a j_minus) (1-q^a)^(-m), and the a < 0 branch is
     the mirror starting at q^(a j_plus), so each coefficient is a finite
-    sum (_necklace_row).  When j_minus = 0 the a > 0 branch has the
-    divergent constant stratum sum_{a>=1} a^K, K = 2g-2+m, and its q^0
-    coefficient is the regularized value zeta(-K) (Zagier's Mellin
-    transform appendix to Zeidler, QFT I); it is 0 when j_minus >= 1.
-    """
-    return QSeries._built(*_necklace_row(g, j_plus, j_minus, q_order))
-
-
-def _necklace_row(
-    g: int, j_plus: int, j_minus: int, q_order: int
-) -> tuple[int, list[int]]:
-    """(den, den * the q^0 .. q^order coefficients of
-    necklace_coefficient_series as integers).  The q^0 coefficient is
-    zeta(-K) = -B_(K+1)/(K+1) when j_minus = 0, read from bernoulli on
-    this check side (the necklace evaluator of socle reads none), and 0
-    when j_minus >= 1; den is its denominator."""
+    sum.  When j_minus = 0 the a > 0 branch has the divergent constant
+    stratum sum_{a>=1} a^K, K = 2g-2+m, and q^0 is its regularized value
+    zeta(-K) = -B_(K+1)/(K+1) (Zagier's Mellin transform appendix to
+    Zeidler, QFT I), read from bernoulli on this check side (socle's
+    necklace evaluator reads none); else 0.  den is its denominator."""
     g, j_plus, j_minus, q_order = map(index, (g, j_plus, j_minus, q_order))
     if g < 1 or j_plus < 1 or j_minus < 0:
         raise ValueError("requires g >= 1, j_plus >= 1, j_minus >= 0")
@@ -223,9 +210,29 @@ def _first_miss(lhs, rhs) -> int | None:
     return next((n for n in range(len(ys)) if xs[n] * b != a * ys[n]), None)
 
 
-# the heaviest top weight that top_weight_check fits, not builds: every
-# top-weight check of the benchmark's `verify all` (g <= 3, m <= 4) has
-# weight <= 12, and benchmarks/selftest.py counts its 30 fits
+def _recognition_miss(row, blocks, weight: int) -> dict | None:
+    """None when fit recognizes the series row (den, ints) as exactly the
+    built sum c_i D^i G_k over blocks, a zero constant monomial included;
+    else fit's inconsistency verbatim, or the first monomial of
+    basis(weight) at which the two differ, with both coefficients."""
+    result = fit(QSeries._built(*row), weight)
+    if isinstance(result, FitInconsistency):
+        return {"fit_inconsistency": str(result)}
+    built: dict = {}
+    for c, i, k in blocks:
+        for mono, x in _block_polynomial(i, k)._terms:
+            built[mono] = built.get(mono, 0) + c * x
+    fitted = result.terms
+    for mono in basis(weight):
+        a, b = fitted.get(mono, 0), built.get(mono, 0)
+        if a != b:
+            return {"fit_monomial": mono, "fit": Fraction(a), "built": Fraction(b)}
+    return None
+
+
+# the heaviest top weight at which top_weight_check also runs the fit
+# oracle, a bound on its cost as socle._MAX_WHEELS bounds the literal
+# wheel sum's; the benchmark's `verify all` (g <= 3, m <= 4) makes 30 fits
 _FIT_MAX_WEIGHT = 12
 
 
@@ -234,52 +241,40 @@ def top_weight_check(
 ) -> CheckResult:
     """Verify that the necklace coefficient series is quasimodular of
     weight at most 2g-2+2m and that its top graded part equals
-    (2/(m-1)!) (q d/dq)^(m-1) G_2g.
+    (2/(m-1)!) (q d/dq)^(m-1) G_2g, on one path at every weight.
 
-    Up to weight _FIT_MAX_WEIGHT the polynomial is fit to the series; fit
-    accepts its candidate on the integer columns (its constant monomial
-    takes up the q^0 coefficient), and an inconsistency, reported
-    verbatim, would falsify quasimodularity at this order.  The fitted
-    top graded part is then summed on the same columns by
-    modfit._integer_sum.  Above _FIT_MAX_WEIGHT, the sum of the blocks of
-    modfit.necklace_blocks must equal the series' integer row
-    (_necklace_row, which no QSeries carries there) at every q-power from
-    q^0, the regularized constant zeta(-K) included, and its top graded
-    part is the sum of its blocks D^i G_k of the top weight k + 2i.
-    Either needs an order that leaves fit its surplus rows (else
-    ValueError).  On both paths the top part is compared with the target
-    in integers by _first_miss; only the fit needs a QSeries.  Each
-    witness is a Fraction.
+    The sum of the blocks of modfit.necklace_blocks must equal the
+    series' integer row (_necklace_row) at every q-power from q^0, the
+    regularized constant zeta(-K) included.  Up to weight _FIT_MAX_WEIGHT
+    fit must then return exactly that built polynomial
+    (_recognition_miss).  The top graded part, the sum of the blocks
+    D^i G_k of weight k + 2i = 2g-2+2m, is compared with the target in
+    integers by _first_miss.  The order must leave fit its surplus rows
+    at every weight (else ValueError).  Each witness value is a
+    Fraction.
     """
     m = j_plus + j_minus
     top_weight = 2 * g - 2 + 2 * m
     params = {"g": g, "j_plus": j_plus, "j_minus": j_minus, "q_order": q_order}
+    row_den, row = _necklace_row(g, j_plus, j_minus, q_order)
+    _fit_monomials(top_weight, q_order)  # fit's order precondition
+    blocks = necklace_blocks(g, j_plus, j_minus)
+    den, built = block_sum(blocks, q_order)
+    n = _first_miss((den, built), (row_den, row))
+    if n is not None:
+        witness = {
+            "construction_q_power": n,
+            "construction": Fraction(built[n], den),
+            "series": Fraction(row[n], row_den),
+        }
+        return failed("elliptic.top_weight", witness, **params)
     if top_weight <= _FIT_MAX_WEIGHT:
-        series = necklace_coefficient_series(g, j_plus, j_minus, q_order)
-        result = fit(series, top_weight)
-        if isinstance(result, FitInconsistency):
-            return failed(
-                "elliptic.top_weight", {"fit_inconsistency": str(result)}, **params
-            )
-        top = _integer_sum(
-            graded_part(result, top_weight).terms.items(), _column, q_order
-        )
-    else:
-        row_den, row = _necklace_row(g, j_plus, j_minus, q_order)
-        _fit_monomials(top_weight, q_order)  # fit's order precondition
-        blocks = necklace_blocks(g, j_plus, j_minus)
-        den, built = block_sum(blocks, q_order)
-        n = _first_miss((den, built), (row_den, row))
-        if n is not None:
-            witness = {
-                "construction_q_power": n,
-                "construction": Fraction(built[n], den),
-                "series": Fraction(row[n], row_den),
-            }
+        witness = _recognition_miss((row_den, row), blocks, top_weight)
+        if witness:
             return failed("elliptic.top_weight", witness, **params)
-        top = block_sum(
-            [(c, i, k) for c, i, k in blocks if k + 2 * i == top_weight], q_order
-        )
+    top = block_sum(
+        [(c, i, k) for c, i, k in blocks if k + 2 * i == top_weight], q_order
+    )
     target = _top_weight_target(g, m, q_order)
     n = _first_miss(top, target)
     if n is None:

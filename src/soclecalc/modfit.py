@@ -3,7 +3,8 @@
 Provides basis enumeration by weight, each necklace coefficient series
 built as a sum of blocks D^i G_k (q d/dq and the Eisenstein series), and
 the inverse problem: exact recognition of a truncated series as such a
-polynomial (`fit`), the top-weight check's oracle at low weight.
+polynomial (`fit`), the oracle that the top-weight check runs up to
+weight 12 against the built polynomial.
 
 Both directions work on integer columns, one store for all of them:
 24^a 240^b 504^c G2^a G4^b G6^c for every monomial, grown to the largest
@@ -23,7 +24,7 @@ denominator, accepts the candidate or names the first q-power it misses.
 Polynomials have one canonical form (_canonical: repeated monomials
 merged, zeros dropped, basis order).  The public QuasimodularPoly
 constructor validates each term and then canonicalizes; the ones the
-module builds (_derivative, _block_polynomial, fit, graded_part) go
+module builds (_derivative, _block_polynomial, fit) go
 through QuasimodularPoly._built, which only canonicalizes.
 """
 
@@ -47,7 +48,6 @@ __all__ = [
     "basis",
     "block_sum",
     "fit",
-    "graded_part",
     "monomial_weight",
     "necklace_blocks",
 ]
@@ -240,9 +240,9 @@ def _integer_sum(terms, series, order: int) -> tuple[int, list[int]]:
     """(den, den * the q^0 .. q^order coefficients of sum coeff/scale * ints
     over the (key, coeff) of terms, with (scale, ints) = series(key, order)),
     den the lcm of the denominators of each coeff/scale.  The one integer
-    sum of the module: on the columns (_block, and the fitted top part in
-    elliptic.top_weight_check) and on the blocks (block_sum).  Each
-    coeff/scale is reduced in integers, without a Fraction."""
+    sum of the module: on the columns (_block) and on the blocks
+    (block_sum).  Each coeff/scale is reduced in integers, without a
+    Fraction."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     # coeff/scale in lowest terms, with gcd(num, scale) alone: num and
@@ -259,13 +259,6 @@ def _integer_sum(terms, series, order: int) -> tuple[int, list[int]]:
         x = num * (den // d)
         total = [t + x * y for t, y in zip(total, ints)]
     return den, total
-
-
-def graded_part(p: QuasimodularPoly, weight: int) -> QuasimodularPoly:
-    """Restriction of p to the monomials of exactly the given weight."""
-    return QuasimodularPoly._built(
-        (m, c) for m, c in p._terms if monomial_weight(m) == weight
-    )
 
 
 def _apostol_terms(k: int) -> list[tuple[Fraction, int, int]]:
@@ -385,9 +378,12 @@ def _necklace_coefficients(j_plus: int, j_minus: int) -> tuple[Fraction, ...]:
 def necklace_blocks(
     g: int, j_plus: int, j_minus: int
 ) -> list[tuple[Fraction, int, int]]:
-    """The polynomial of elliptic.necklace_coefficient_series, built, not
-    recognized (Oberdieck-Pixton: the series is quasimodular), as the
-    (c_i, i, k) of its blocks: it is sum c_i D^i G_k over them.
+    """The polynomial of the necklace coefficient series
+    (elliptic._necklace_row), built, not recognized (Oberdieck-Pixton: the
+    series is quasimodular), as the (c_i, i, k) of its blocks: it is
+    sum c_i D^i G_k over them; elliptic.top_weight_check compares its sum
+    with the series from q^0 at every weight, and fit's result with it up
+    to weight 12.
 
     With m = j_plus + j_minus and K = 2g - 2 + m the series is
     sum_{a, n >= 1} a^K P(n) q^(an), where P(n) = sum_i c_i n^i is
@@ -456,11 +452,14 @@ def fit(s: QSeries, max_weight: int) -> QuasimodularPoly | FitInconsistency:
 
     Growing _lu costs O(C^3) steps on minors that grow with its C
     columns: from empty it took 0.1 s at weight 18, 1.0-1.3 s at 22 and
-    11 s at 26 (CPython 3.11, 2 vCPUs).  elliptic.top_weight_check fits
-    up to its _FIT_MAX_WEIGHT and builds the heavier polynomials.
+    11 s at 26 (CPython 3.11, 2 vCPUs).  elliptic.top_weight_check builds
+    the polynomial at every weight and runs fit as its recognition oracle
+    up to _FIT_MAX_WEIGHT only.
 
     The coefficient of 1 is the series' q^0 coefficient minus the
-    candidate's q^0 value, the same column sum at q^0 over den det.
+    candidate's q^0 value, the same column sum at q^0 over den det; for a
+    necklace series, whose built polynomial has no constant monomial, it
+    must be 0, which compares the series' q^0 with the fitted terms.
 
     Returns the unique matching polynomial, or a FitInconsistency naming
     the first q-power at which no polynomial can match.

@@ -6,7 +6,8 @@ smaller order, stays only for the benchmark tracer.
 
 Every series knows its q^0 coefficient: a necklace series whose constant
 stratum diverges carries the zeta-regularized value there
-(elliptic.necklace_coefficient_series).
+(elliptic._necklace_row, the row that elliptic.top_weight_check hands to
+modfit.fit as QSeries._built).
 """
 
 from __future__ import annotations

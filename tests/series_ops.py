@@ -3,11 +3,15 @@ the zero and constant series, scaling by a number, q d/dq, the
 coefficientwise sum and the Cauchy product, which truncate to the smaller
 order as QSeries's product does, and the Fraction oracle of the
 quasimodular polynomials: each monomial as a literal product of
-Eisenstein series, and a polynomial as the sum of its monomials."""
+Eisenstein series, and a polynomial as the sum of its monomials.  Also
+the necklace coefficient series as a QSeries, read off the integer row
+that the top-weight check compares, and a polynomial's graded part."""
 
 from functools import lru_cache
 
+from soclecalc import elliptic
 from soclecalc.exact import rational
+from soclecalc.modfit import QuasimodularPoly, monomial_weight
 from soclecalc.qseries import QSeries, eisenstein
 
 
@@ -65,3 +69,16 @@ def evaluate(p, order):
     for mono, c in p.terms.items():
         total = plus(total, scale(monomial_series(mono, order), c))
     return total
+
+
+def necklace_series(g, j_plus, j_minus, order):
+    # the necklace coefficient series up to q^order, its regularized q^0
+    # included, as the QSeries of elliptic._necklace_row's (den, ints)
+    return QSeries._built(*elliptic._necklace_row(g, j_plus, j_minus, order))
+
+
+def graded_part(p, weight):
+    # the terms of p whose monomial has exactly the given weight
+    return QuasimodularPoly(
+        (m, c) for m, c in p.terms.items() if monomial_weight(m) == weight
+    )

@@ -21,7 +21,6 @@ from soclecalc.drcycle import dr3_bssz_check, dr3_closed, dr3_recursive
 from soclecalc.elliptic import (
     check_divisor_power_k_fails,
     check_propagator_identity,
-    necklace_coefficient_series,
     top_weight_check,
 )
 from soclecalc.modfit import basis
@@ -36,7 +35,7 @@ from soclecalc.socle import (
     wheel_collapse_check,
 )
 
-from series_ops import q_d_q, scale
+from series_ops import necklace_series, q_d_q, scale
 
 
 def _report(criterion, ok, detail):
@@ -254,7 +253,7 @@ def test_criterion_5_top_weight_claim():
                 assert res.ok, res
                 count += 1
     # closed-form anchor: the balanced two-edge series at genus one
-    anchor = necklace_coefficient_series(1, 1, 1, 20)
+    anchor = necklace_series(1, 1, 1, 20)
     assert anchor.coeffs[1:4] == (2, 12, 24)
     assert anchor == scale(q_d_q(eisenstein(2, 20)), 2)
     elapsed = time.monotonic() - t0

@@ -492,9 +492,10 @@ def test_table_eisenstein_markdown(capsys):
 
 def test_verify_all_fits_every_top_weight_check_up_to_weight_12(capsys, monkeypatch):
     # the benchmark's `verify all` flags: each of its 30 top-weight checks
-    # (g <= 3, m <= 4, weights 2 .. 12) fits once, the oracle that
-    # benchmarks/selftest.py counts; m = 5 adds checks of weight 14 and
-    # above at g = 3, which build and never fit
+    # (g <= 3, m <= 4, weights 2 .. 12) sums the built polynomial and runs
+    # the fit oracle once, the fits that benchmarks/selftest.py counts;
+    # m = 5 adds checks of weight 14 and above at g = 3, which sum the
+    # built polynomial alone and never fit
     fits, per_check = [], []
     fit, check = elliptic.fit, cli.top_weight_check
 

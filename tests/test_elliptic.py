@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -8,7 +8,6 @@ from soclecalc.cli import suite_topweight
 from soclecalc.elliptic import (
     check_divisor_power_k_fails,
     check_propagator_identity,
-    necklace_coefficient_series,
     propagator_expansion,
     top_weight_check,
     weierstrass_expansion,
@@ -20,13 +19,20 @@ from soclecalc.modfit import (
     basis,
     block_sum,
     fit,
-    graded_part,
     monomial_weight,
     necklace_blocks,
 )
 from soclecalc.qseries import QSeries, eisenstein
 
-from series_ops import constant, evaluate, plus, q_d_q, scale, zero
+from series_ops import (
+    constant,
+    evaluate,
+    graded_part,
+    necklace_series,
+    q_d_q,
+    scale,
+    zero,
+)
 
 
 # --- independent oracle: Laurent coefficients of e^w/(e^w-1)^2 by
@@ -192,7 +198,7 @@ def _necklace_brute_force(g, j_plus, j_minus, q_order):
 
 
 def test_necklace_series_frozen_anchor():
-    ncs = necklace_coefficient_series(1, 1, 1, 3)
+    ncs = necklace_series(1, 1, 1, 3)
     # closed resummation: 2 * sum n sigma_1(n) q^n
     assert ncs == QSeries((0, 2, 12, 24))
     assert ncs == scale(q_d_q(eisenstein(2, 3)), 2)
@@ -203,7 +209,7 @@ def test_necklace_series_frozen_anchor():
 )
 def test_necklace_series_matches_brute_force(g, jp, jm):
     N = 8
-    ncs = necklace_coefficient_series(g, jp, jm, N)
+    ncs = necklace_series(g, jp, jm, N)
     brute = _necklace_brute_force(g, jp, jm, N)
     start = 0 if jm >= 1 else 1
     assert list(ncs.coeffs[start:]) == brute[start:]
@@ -213,10 +219,10 @@ def test_necklace_series_constant_is_regularized():
     # with j- = 0 the divergent q^0 stratum sum_{a>=1} a^K is zeta(-K),
     # K = 2g-2+m: zeta(-1) = -1/12, zeta(-3) = 1/120, zeta(-2) = 0; with
     # j- >= 1 no term reaches q^0
-    assert necklace_coefficient_series(1, 1, 0, 4).coeffs[0] == Fraction(-1, 12)
-    assert necklace_coefficient_series(1, 3, 0, 4).coeffs[0] == Fraction(1, 120)
-    assert necklace_coefficient_series(1, 2, 0, 4).coeffs[0] == 0
-    assert necklace_coefficient_series(1, 1, 1, 4).coeffs[0] == 0
+    assert necklace_series(1, 1, 0, 4).coeffs[0] == Fraction(-1, 12)
+    assert necklace_series(1, 3, 0, 4).coeffs[0] == Fraction(1, 120)
+    assert necklace_series(1, 2, 0, 4).coeffs[0] == 0
+    assert necklace_series(1, 1, 1, 4).coeffs[0] == 0
 
 
 def test_regularized_constant_is_the_built_constant_and_zeta():
@@ -235,27 +241,27 @@ def test_regularized_constant_is_the_built_constant_and_zeta():
 
 def test_necklace_series_zero_at_order_zero():
     for g, jp, jm in [(1, 1, 1), (2, 3, 2)]:
-        assert necklace_coefficient_series(g, jp, jm, 0) == zero(0)
+        assert necklace_series(g, jp, jm, 0) == zero(0)
 
 
 def test_necklace_series_swap_symmetry():
     for g in (1, 2):
         for jp, jm in [(1, 2), (2, 1), (1, 3), (2, 2)]:
-            a = necklace_coefficient_series(g, jp, jm, 10)
-            b = necklace_coefficient_series(g, jm, jp, 10)
+            a = necklace_series(g, jp, jm, 10)
+            b = necklace_series(g, jm, jp, 10)
             assert a == b
 
 
 def test_necklace_series_rejects_bad_input():
     with pytest.raises(ValueError):
-        necklace_coefficient_series(0, 1, 1, 5)
+        elliptic._necklace_row(0, 1, 1, 5)
     with pytest.raises(ValueError):
-        necklace_coefficient_series(1, 0, 2, 5)
+        elliptic._necklace_row(1, 0, 2, 5)
     # a float genus would give float-rounded coefficients from q^10 on
     with pytest.raises(TypeError):
-        necklace_coefficient_series(12.0, 3, 2, 40)
+        elliptic._necklace_row(12.0, 3, 2, 40)
     with pytest.raises(TypeError):
-        necklace_coefficient_series(1, 1, 1, 5.0)
+        elliptic._necklace_row(1, 1, 1, 5.0)
     # the built polynomial's blocks reject what the series rejects
     for args in ((0, 1, 1), (1, 0, 2), (1, 1, -1)):
         with pytest.raises(ValueError):
@@ -265,7 +271,7 @@ def test_necklace_series_rejects_bad_input():
 # --- top weight extraction
 
 def test_top_weight_anchor_is_pure_weight():
-    ncs = necklace_coefficient_series(1, 1, 1, 20)
+    ncs = necklace_series(1, 1, 1, 20)
     p = fit(ncs, 4)
     assert not isinstance(p, FitInconsistency)
     # no lower-weight part at all in this case
@@ -277,7 +283,7 @@ def test_top_weight_two_edge_case_is_again_pure():
     # the balanced two-edge necklace resums to 2 q d/dq of the weight-2g
     # generator for every g, so no lower-weight tail appears here either
     assert top_weight_check(2, 1, 1, 20).ok
-    ncs = necklace_coefficient_series(2, 1, 1, 20)
+    ncs = necklace_series(2, 1, 1, 20)
     p = fit(ncs, 6)
     assert graded_part(p, 6) == p
     assert sorted({monomial_weight(m) for m in p.terms}) == [6]
@@ -287,7 +293,7 @@ def test_top_weight_with_lower_order_remainder():
     # the four-edge split (2,2) at genus 1 does carry a tail below the
     # top weight 8
     assert top_weight_check(1, 2, 2, 30).ok
-    ncs = necklace_coefficient_series(1, 2, 2, 30)
+    ncs = necklace_series(1, 2, 2, 30)
     p = fit(ncs, 8)
     assert graded_part(p, 8) != p
     assert sorted({monomial_weight(m) for m in p.terms}) == [6, 8]
@@ -320,45 +326,9 @@ def test_top_weight_sweep_all_splits():
 
 
 def test_top_weight_failures_carry_their_witnesses(monkeypatch):
-    honest = necklace_coefficient_series
-
-    def plus_top_weight_g2_power(g, j_plus, j_minus, q_order):
-        # G2^(g+m-1) has the top weight 2g-2+2m, so the fit succeeds and
-        # the top graded part is off, first at q^0 by (-1/24)^(g+m-1)
-        m = j_plus + j_minus
-        extra = evaluate(QuasimodularPoly({(g + m - 1, 0, 0): 1}), q_order)
-        return plus(honest(g, j_plus, j_minus, q_order), extra)
-
-    monkeypatch.setattr(
-        elliptic, "necklace_coefficient_series", plus_top_weight_g2_power
-    )
-    res = top_weight_check(2, 1, 1, 12)
-    assert not res.ok
-    assert res.witness == {"q_power": 0, "lhs": Fraction(-1, 13824), "rhs": 0}
-
-    def last_coefficient_plus_one(g, j_plus, j_minus, q_order):
-        series = honest(g, j_plus, j_minus, q_order)
-        coeffs = series.coeffs[:-1] + (series.coeffs[-1] + 1,)
-        return QSeries(coeffs)
-
-    monkeypatch.setattr(
-        elliptic, "necklace_coefficient_series", last_coefficient_plus_one
-    )
-    # with j- >= 1, then with j- = 0 (a regularized q^0); no polynomial
-    # matches the last row, the witness is that q-power
-    for g, j_plus, j_minus, q_order in ((2, 1, 1, 12), (3, 2, 0, 16)):
-        res = top_weight_check(g, j_plus, j_minus, q_order)
-        top_weight = 2 * g - 2 + 2 * (j_plus + j_minus)
-        assert not res.ok
-        assert res.witness == {
-            "fit_inconsistency": str(FitInconsistency(q_order, top_weight))
-        }
-        assert res.witness["fit_inconsistency"].endswith(f"at q^{q_order}")
-    # above weight 12 the built polynomial is compared with the series'
-    # integer row, which no QSeries carries, from q^0: (5, 3, 0) has an
-    # odd m, so its q^0 is the nonzero regularized constant zeta(-11)
+    # every split compares the built polynomial with the series' integer
+    # row from q^0; each input below adds 1 to one entry of the row
     honest_row = elliptic._necklace_row
-    q_order = len(basis(14)) + 5
 
     def entry_plus_one(at):
         def row(g, j_plus, j_minus, q_order):
@@ -368,13 +338,26 @@ def test_top_weight_failures_carry_their_witnesses(monkeypatch):
 
         return row
 
-    for g, j_plus, j_minus, at in (
-        (4, 2, 2, q_order), (5, 3, 0, q_order), (5, 3, 0, 0)
+    # the last row of two fitted splits, with j- >= 1 and with j- = 0;
+    # two more fitted splits at q^0, each at its `verify` order: (2, 1, 0)
+    # has the regularized constant zeta(-3) = 1/120 there, (1, 1, 1) has 0;
+    # above weight 12 the last row and, on (5, 3, 0) with an odd m, q^0
+    # with its nonzero regularized constant zeta(-11)
+    order4, order14 = len(basis(4)) + 5, len(basis(14)) + 5
+    values = {}
+    for g, j_plus, j_minus, q_order, at in (
+        (2, 1, 1, 12, 12),
+        (3, 2, 0, 16, 16),
+        (2, 1, 0, order4, 0),
+        (1, 1, 1, order4, 0),
+        (4, 2, 2, order14, order14),
+        (5, 3, 0, order14, order14),
+        (5, 3, 0, order14, 0),
     ):
         monkeypatch.setattr(elliptic, "_necklace_row", entry_plus_one(at))
         res = top_weight_check(g, j_plus, j_minus, q_order)
         den, ints = honest_row(g, j_plus, j_minus, q_order)
-        value = Fraction(ints[at], den)
+        value = values[g, j_plus, j_minus, at] = Fraction(ints[at], den)
         assert res.witness == {
             "construction_q_power": at,
             "construction": value,
@@ -384,23 +367,71 @@ def test_top_weight_failures_carry_their_witnesses(monkeypatch):
         # int without "/1"
         assert type(res.witness["construction"]) is Fraction
         assert type(res.witness["series"]) is Fraction
-    assert value == Fraction(691, 32760)  # zeta(-11) = -B_12/12
+    assert values[2, 1, 0, 0] == Fraction(1, 120)
+    assert values[1, 1, 1, 0] == 0
+    assert values[5, 3, 0, 0] == Fraction(691, 32760)  # zeta(-11) = -B_12/12
+
+    def plus_top_weight_g2_power(g, j_plus, j_minus, q_order):
+        # G2^(g+m-1) has the top weight 2g-2+2m; the row is off first at
+        # q^0, by (-1/24)^(g+m-1)
+        power = QuasimodularPoly({(g + j_plus + j_minus - 1, 0, 0): 1})
+        extra = evaluate(power, q_order)
+        den, ints = honest_row(g, j_plus, j_minus, q_order)
+        coeffs = [Fraction(x, den) + y for x, y in zip(ints, extra.coeffs)]
+        den = lcm(*(c.denominator for c in coeffs))
+        return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+    monkeypatch.setattr(elliptic, "_necklace_row", plus_top_weight_g2_power)
+    assert top_weight_check(2, 1, 1, 12).witness == {
+        "construction_q_power": 0,
+        "construction": 0,
+        "series": Fraction(-1, 13824),
+    }
+    monkeypatch.setattr(elliptic, "_necklace_row", honest_row)
+
+    # up to weight 12 fit must return exactly the built polynomial of
+    # (2, 1, 1), 2 D G4 = -16 G2 G4 + (7/5) G6: a changed G6 coefficient,
+    # or a constant monomial, is the first monomial that differs
+    honest_fit = elliptic.fit
+    for mono, built in (((0, 0, 1), Fraction(7, 5)), ((0, 0, 0), Fraction(0))):
+
+        def plus_one_at(s, max_weight, mono=mono):
+            terms = honest_fit(s, max_weight).terms
+            terms[mono] = terms.get(mono, 0) + 1
+            return QuasimodularPoly(terms)
+
+        monkeypatch.setattr(elliptic, "fit", plus_one_at)
+        res = top_weight_check(2, 1, 1, 12)
+        witness = {"fit_monomial": mono, "fit": built + 1, "built": built}
+        assert res.witness == witness
+        assert {type(res.witness[key]) for key in ("fit", "built")} == {Fraction}
+    # an inconsistent fit is reported verbatim
+    monkeypatch.setattr(elliptic, "fit", lambda s, w: FitInconsistency(12, w))
+    assert top_weight_check(2, 1, 1, 12).witness == {
+        "fit_inconsistency": str(FitInconsistency(12, 6))
+    }
 
 
-def test_fit_series_is_the_checked_series_of_its_row():
-    # the fit branch builds its series from the integer row without the
+def test_fit_series_is_the_checked_series_of_its_row(monkeypatch):
+    # the fit oracle gets its series from the integer row without the
     # constructor's checks: on every split of g <= 3, m <= 4 it equals the
-    # public constructor's series, the j- = 0 regularized q^0 included,
-    # and holds only Fractions
-    for g in range(1, 4):
-        for m in range(1, 5):
-            q_order = len(basis(2 * g - 2 + 2 * m)) + 5
-            for j_plus in range(1, m + 1):
-                j_minus = m - j_plus
-                den, row = elliptic._necklace_row(g, j_plus, j_minus, q_order)
-                series = necklace_coefficient_series(g, j_plus, j_minus, q_order)
-                assert series == QSeries([Fraction(x, den) for x in row])
-                assert {type(c) for c in series.coeffs} == {Fraction}
+    # public constructor's series of that row, the j- = 0 regularized q^0
+    # included, and holds only Fractions
+    seen = []
+    honest = elliptic.fit
+
+    def recorded(s, max_weight):
+        seen.append(s)
+        return honest(s, max_weight)
+
+    monkeypatch.setattr(elliptic, "fit", recorded)
+    checks = suite_topweight(3, 4, None, None)
+    assert all(c.ok for c in checks)
+    assert len(seen) == len(checks) == 30
+    for check, series in zip(checks, seen):
+        den, row = elliptic._necklace_row(*check.params.values())
+        assert series == QSeries([Fraction(x, den) for x in row])
+        assert {type(c) for c in series.coeffs} == {Fraction}
 
 
 def test_the_built_path_builds_no_qseries(monkeypatch):
@@ -433,7 +464,7 @@ def test_top_weight_past_the_old_reconstruction_limit():
 def test_top_weight_order_rule_is_fit_margin():
     # the fit solves q^1..q^order against the monomials other than 1 and
     # needs 5 surplus rows, so len(basis(W)) + 4 is the smallest order;
-    # the built polynomial above weight 12 runs at the same orders
+    # every split needs the same orders, whether the fit oracle runs or not
     for g, j_plus, j_minus in ((1, 1, 0), (2, 1, 1), (3, 2, 1), (4, 2, 2), (5, 3, 0)):
         order = len(basis(2 * g - 2 + 2 * (j_plus + j_minus))) + 4
         assert top_weight_check(g, j_plus, j_minus, order).ok
@@ -446,7 +477,7 @@ def test_top_weight_order_rule_is_fit_margin():
 def test_loop_coefficient_values():
     # the single-vertex loop: the one-edge necklace series is 2 G_2g, its
     # regularized constant zeta(1-2g) = -B_2g/(2g) = 2 [q^0]G_2g included
-    assert necklace_coefficient_series(1, 1, 0, 2).coeffs == (Fraction(-1, 12), 2, 6)
+    assert necklace_series(1, 1, 0, 2).coeffs == (Fraction(-1, 12), 2, 6)
     for g in range(1, 7):
-        series = necklace_coefficient_series(g, 1, 0, 30)
+        series = necklace_series(g, 1, 0, 30)
         assert series == scale(eisenstein(2 * g, 30), 2)

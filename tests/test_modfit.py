@@ -5,20 +5,28 @@ import pytest
 
 from soclecalc import elliptic, modfit
 from soclecalc.cli import suite_topweight
-from soclecalc.elliptic import necklace_coefficient_series
 from soclecalc.exact import bernoulli
 from soclecalc.modfit import (
     FitInconsistency,
     QuasimodularPoly,
     basis,
     fit,
-    graded_part,
     monomial_weight,
     necklace_blocks,
 )
 from soclecalc.qseries import QSeries, divisor_sigmas, eisenstein
 
-from series_ops import evaluate, monomial_series, plus, q_d_q, scale, times, zero
+from series_ops import (
+    evaluate,
+    graded_part,
+    monomial_series,
+    necklace_series,
+    plus,
+    q_d_q,
+    scale,
+    times,
+    zero,
+)
 
 
 def _partition_count_246(v):
@@ -200,12 +208,7 @@ def test_polynomials_built_without_validation_are_canonical(monkeypatch):
     g4 = eisenstein(4, 20).coeffs
     one_plus_g4 = recorded(QSeries((g4[0] + 1,) + g4[1:]), 4)
     assert one_plus_g4.terms == {(0, 0, 0): 1, (0, 1, 0): 1}
-    parts = [
-        graded_part(p, w)
-        for p in fitted
-        for w in {monomial_weight(m) for m, _ in p._terms}
-    ]
-    for p in blocks + fitted + parts:
+    for p in blocks + fitted:
         # the public constructor's form, Fraction coefficients and int
         # (not bool) exponents
         assert QuasimodularPoly(p.terms)._terms == p._terms
@@ -219,15 +222,6 @@ def test_polynomials_built_without_validation_are_canonical(monkeypatch):
         QuasimodularPoly({(1, 0): 1})
     with pytest.raises(ValueError, match="bad exponent triple"):
         QuasimodularPoly({(1, -1, 0): 1})
-
-
-def test_graded_part():
-    p = QuasimodularPoly({(2, 0, 0): -2, (0, 1, 0): Fraction(5, 6)})
-    assert graded_part(p, 4) == p
-    assert graded_part(p, 0) == QuasimodularPoly()
-    one_plus_g2 = QuasimodularPoly({(0, 0, 0): 1, (1, 0, 0): 1})
-    assert graded_part(one_plus_g2, 0) == QuasimodularPoly({(0, 0, 0): 1})
-    assert graded_part(QuasimodularPoly({(1, 0, 0): 1}), 4) == QuasimodularPoly()
 
 
 def test_graded_decomposition_sums_back():
@@ -514,7 +508,7 @@ def test_construction_equals_fit_up_to_six():
             weight = 2 * g - 2 + 2 * m
             order = len(basis(weight)) + 5
             for j_plus in range(1, m + 1):
-                s = necklace_coefficient_series(g, j_plus, m - j_plus, order)
+                s = necklace_series(g, j_plus, m - j_plus, order)
                 assert fit(s, weight) == _built_polynomial(
                     g, j_plus, m - j_plus
                 ), (g, j_plus, m - j_plus)
@@ -684,7 +678,7 @@ def test_a_grown_block_equals_a_cold_one(monkeypatch):
 
 
 def test_the_top_weight_suite_evaluates_each_block_once(monkeypatch):
-    # every (i, k) that a split above weight 12 sums, at g, m <= 8, is
+    # every (i, k) that a split sums, at g, m <= 8 and every weight, is
     # summed on the columns exactly once, at the largest order asked for
     monkeypatch.setattr(modfit, "_columns", {})
     monkeypatch.setattr(modfit, "_blocks", {})
@@ -704,7 +698,6 @@ def test_the_top_weight_suite_evaluates_each_block_once(monkeypatch):
         (i, k)
         for g in range(1, 9)
         for m in range(1, 9)
-        if 2 * g - 2 + 2 * m > 12
         for j_plus in range(1, m + 1)
         for _, i, k in necklace_blocks(g, j_plus, m - j_plus)
     }
@@ -716,4 +709,4 @@ def test_the_top_weight_suite_evaluates_each_block_once(monkeypatch):
         if terms is modfit._block_polynomial(*key)._terms
     ]
     assert sorted(evaluated) == sorted(wanted)
-    assert len(wanted) == 64
+    assert len(wanted) == 76

@@ -18,10 +18,10 @@ its D^0 case, and summed by modfit.block_sum through
 modfit._integer_sum, the one integer sum that also evaluates each block
 on the columns): each constant of Ramanujan's equations in the
 derivation, and the k = 8 term of the Apostol recurrence.  Each must
-fail elliptic.top_weight at g = 4, m = 4 (weight 14, above the fitted
-weights) with j- = 0 and with j- >= 1, through the comparison of the
-built polynomial with the necklace series' integer row
-(elliptic._necklace_row, which no QSeries carries on this path).  The
+fail elliptic.top_weight at g = 4, m = 4 (weight 14, above the weights
+where the fit oracle runs) with j- = 0 and with j- >= 1, through the
+comparison of the built polynomial with the necklace series' integer
+row (elliptic._necklace_row), which every split makes from q^0.  The
 kernel rows perturb one value of a shared sequence or constant; the
 Apostol row there is the construction row's perturbation, caught on the
 socle side through Faber's constant, and the two dr.oracle rows perturb
@@ -171,6 +171,24 @@ def _divisor_power_k(honest):
     return series
 
 
+def _g8_constant_doubled(honest):
+    # G_8 with its q^0 doubled and every divisor sum kept
+    def series(k, order):
+        s = honest(k, order)
+        return QSeries((2 * s.coeffs[0],) + s.coeffs[1:]) if k == 8 else s
+
+    return series
+
+
+def _last_plus_det(honest):
+    # fit's candidate w = det z with det added to its last entry
+    def solve(cols, rhs):
+        w, det = honest(cols, rhs)
+        return w[:-1] + [w[-1] + det], det
+
+    return solve
+
+
 def _top_weight_g4_m4():
     q_order = len(basis(14)) + 5
     return [top_weight_check(4, j_plus, 4 - j_plus, q_order) for j_plus in (4, 2)]
@@ -212,11 +230,29 @@ KERNEL_ROWS = {
         exact, "bernoulli", _doubled_at(14),
         _top_weight_at_q0_k13, "elliptic.top_weight", "construction_q_power",
     ),
-    # the m = 1 target constant 2 [q^0]G_8, read off qseries.eisenstein
+    # the row's regularized q^0, zeta(-7) = -B_8/8, against the built
+    # polynomial's 2 [q^0]G_8 from Apostol's recurrence; it reaches the
+    # m = 1 target constant 2 [q^0]G_8 = -B_8/8 too, but the construction
+    # comparison comes first
     "B_8 doubled": (
         exact, "bernoulli", _doubled_at(8),
         lambda: [top_weight_check(4, 1, 0, len(basis(8)) + 5)],
+        "elliptic.top_weight", "construction_q_power",
+    ),
+    # the m = 1 target constant 2 [q^0]G_8 alone, read off
+    # qseries.eisenstein; the built polynomial reads no eisenstein above
+    # G_6, so only the top part against the target sees it
+    "eisenstein G_8 constant doubled": (
+        qseries, "eisenstein", _g8_constant_doubled,
+        lambda: [top_weight_check(4, 1, 0, len(basis(8)) + 5)],
         "elliptic.top_weight", "q_power",
+    ),
+    # every top-weight check of g <= 3, m <= 4 runs the fit oracle, and
+    # nothing else in the check reads fit's solve
+    "_solve off by det": (
+        modfit, "_solve", _last_plus_det,
+        lambda: cli.suite_topweight(3, 4, None, None),
+        "elliptic.top_weight", "fit_inconsistency",
     ),
     # faber's B_8 against the necklace constant [q^0]G_8, which comes
     # from Apostol's recurrence seeded with G4 and G6
