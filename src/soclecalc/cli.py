@@ -2,12 +2,21 @@
 
 Exit codes form a stable contract for CI use: 0 success/agreement,
 1 usage error, 2 mathematical disagreement.  A failed identity is a
-result with a serialized witness, not a crash.  The flags alone decide
-a run; no environment variable is read.  Usage errors found after
-parsing are ValueErrors, which main reports.  This is the one module
-that prints: json's default hook, the cell formatter of _rows_to_output
-and cmd_socle's markdown lines write each Fraction as exact "num/den"
-(exact.format_rational).
+result with a serialized witness, not a crash.  Outside the contract,
+the `soclecalc` command exits 141 (128 + SIGPIPE), with no traceback,
+when the reader closes its stdout early, as `| head` does.  The flags
+alone decide a run; no environment variable is read.  Usage errors
+found after parsing are ValueErrors, which main reports.
+
+This is the one module that prints.  Each Fraction goes out as exact
+"num/den" (exact.format_rational): as a JSON string from the indented
+JSON writer (_json_value), as a cell from the formatter of
+_rows_to_output, and as a line of cmd_socle's markdown.  The writer
+gives the bytes of json.dumps(obj, indent=2, default=format_rational)
+and writes every scalar itself; it leaves to json, and to json's
+default hook for a Fraction, only a nested container (a failing
+witness, socle's d list) and a value of any other type, such as a
+float.  CSV and markdown witnesses are json.dumps without indent.
 """
 
 from __future__ import annotations
@@ -15,10 +24,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import random
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import comb
 
 from .drcycle import dr3_bssz_check, dr3_closed, dr3_oracle_check, dr_standard
@@ -264,17 +275,73 @@ def _dumps(obj, indent: int | None = None) -> str:
     return json.dumps(obj, indent=indent, default=format_rational)
 
 
+# The indented JSON writer: _json_value, _json_object and _json_array
+# give the bytes that _dumps(..., indent=2) gives for a value whose line
+# is indented by pad.  Before Python 3.13, json encodes with indent only
+# in pure Python, so the writer encodes each scalar itself and passes
+# only the rest to _dumps, re-indented to its depth: an encoded JSON
+# string holds no raw newline, so every "\n" of that text starts one of
+# its lines.
+_INDENT = "  "
+
+
+def _json_value(value, pad: str) -> str:
+    # json's order of tests: None, True and False before int, since bool
+    # is an int; the Fraction case is json's default hook, inlined
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, Fraction):
+        return _encode_str(format_rational(value))
+    return _dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _json_heads(keys, pad: str) -> list[str]:
+    # what precedes each value of a dict with these string keys at pad
+    return [f"\n{pad}{_INDENT}{_encode_str(k)}: " for k in keys]
+
+
+def _json_object(heads, values, pad: str) -> str:
+    # a dict from its _json_heads(keys, pad) and its values
+    inner = pad + _INDENT
+    members = ",".join([h + _json_value(v, inner) for h, v in zip(heads, values)])
+    return f"{{{members}\n{pad}}}" if members else "{}"
+
+
+def _json_array(texts, pad: str) -> str:
+    # a list from the texts of its elements, each written at pad + _INDENT
+    inner = pad + _INDENT
+    elements = f",\n{inner}".join(texts)
+    return f"[\n{inner}{elements}\n{pad}]" if elements else "[]"
+
+
 def render_report(suite: str, checks: list[CheckResult], fmt: str, config: dict) -> str:
     if fmt == "json":
-        payload = {
-            "suite": suite,
-            "checks": [
-                {"id": c.check_id, "status": c.status, "witness": c.witness}
+        # one f-string per check: id and status are always strings, and
+        # a passing check's witness is None
+        checks_text = _json_array(
+            (
+                f'{{\n      "id": {_encode_str(c.check_id)},'
+                f'\n      "status": {_encode_str(c.status)},'
+                f'\n      "witness": {_json_value(c.witness, "      ")}\n    }}'
                 for c in checks
-            ],
-            "config": config,
-        }
-        return _dumps(payload, indent=2)
+            ),
+            _INDENT,
+        )
+        config_text = _json_object(
+            _json_heads(config, _INDENT), config.values(), _INDENT
+        )
+        return (
+            f'{{\n  "suite": {_encode_str(suite)},\n  "checks": {checks_text},'
+            f'\n  "config": {config_text}\n}}'
+        )
     if fmt == "csv":
         rows = [(c.check_id, c.status, _dumps(c.witness)) for c in checks]
         return _rows_to_output(["id", "status", "witness"], rows, "csv")
@@ -291,13 +358,14 @@ def render_report(suite: str, checks: list[CheckResult], fmt: str, config: dict)
 
 
 def _rows_to_output(header, rows, fmt: str) -> str:
+    if fmt == "json":
+        heads = _json_heads(header, _INDENT)
+        return _json_array((_json_object(heads, r, _INDENT) for r in rows), "")
     # each Fraction cell as "num/den", every other cell as it is, row by row
     rows = (
         [format_rational(v) if isinstance(v, Fraction) else v for v in r]
         for r in rows
     )
-    if fmt == "json":
-        return json.dumps([dict(zip(header, r)) for r in rows], indent=2)
     if fmt == "csv":
         import csv  # here, not at import: most runs write no csv
 
@@ -340,7 +408,7 @@ def cmd_socle(args) -> int:
     }
     payload = {k: v for k, v in payload.items() if v is not None}
     if args.format == "json":
-        print(_dumps(payload, indent=2))
+        print(_json_object(_json_heads(payload, ""), payload.values(), ""))
     elif args.format == "csv":
         print(_rows_to_output(list(payload), [list(payload.values())], "csv"))
     else:
@@ -435,7 +503,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: exit as a
+        # process killed by SIGPIPE would, 128 + 13, with no traceback, and
+        # point stdout at os.devnull so that the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

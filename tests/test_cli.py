@@ -1,11 +1,16 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import soclecalc
 from soclecalc import cli, elliptic, exact, socle
 from soclecalc.cli import (
     _MAX_LISTS,
@@ -17,6 +22,8 @@ from soclecalc.cli import (
 )
 from soclecalc.report import failed, passed
 from soclecalc.socle import _MAX_DEPTH, _MAX_QUERIES, _query_count
+
+from test_cli_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -451,6 +458,56 @@ def test_failing_report_bytes(fmt):
         passed("demo.ok", g=1),
     ]
     assert render_report("demo", checks, fmt, {"g_max": 2}) == FAILING_REPORT[fmt]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify all --format json",
+        "table socle --g-max 4 --n-max 4 --format json",
+        "table dr --g-max 3 --a-max 2 --format json",
+        "table eisenstein --k 2,4,6 --order 10 --format json",
+    ],
+)
+def test_passing_json_outputs_skip_the_pure_python_encoder(command, capsys, monkeypatch):
+    # before Python 3.13, json encodes with indent only through
+    # json.encoder._make_iterencode (from 3.13 on, in C as well); a passing
+    # payload holds no nested container, so the CLI's writer prints its
+    # golden bytes without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    if sys.version_info < (3, 13):
+        with pytest.raises(AssertionError):
+            json.dumps([1], indent=2)
+    digest = {c: d for c, _, d in GOLDEN}[command]
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # the reader takes one line and closes the pipe; the table's 279 kB of
+    # CSV outgrow a pipe buffer (64 kB on Linux), so the writer always
+    # meets the closed pipe
+    src = os.path.dirname(os.path.dirname(soclecalc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = "table socle --g-max 10 --n-max 10 --format csv".split()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "soclecalc.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"g,d,faber,necklace,equal\r\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert (code, err) == (141, b"")
 
 
 def test_table_socle_csv(capsys):

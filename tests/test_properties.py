@@ -11,8 +11,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soclecalc import cli
 from soclecalc.cli import render_report
 from soclecalc.drcycle import dr3_closed
+from soclecalc.exact import format_rational
 from soclecalc.qseries import QSeries
 from soclecalc.report import failed, passed
 from soclecalc.socle import (
@@ -139,3 +141,67 @@ def test_check_result_survives_json_round_trip(check, kwargs, witness):
             assert [Fraction(x) for x in back] == value
         else:
             assert back == value
+
+
+# strings with quotes, backslashes, newlines, control characters and
+# non-ASCII text (an accent, a Greek letter, a character outside the BMP)
+json_text = st.text(
+    alphabet=st.sampled_from('a"\\\n\t\x00\x1f\x7fé∂\U0001d11e'), max_size=6
+)
+json_scalars = st.one_of(
+    json_text,
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.none(),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+    st.integers(-99, 99).map(Fraction),
+)
+EMPTY_CONTAINERS = st.sampled_from([[], (), {}])
+
+
+def json_nested(depth):
+    # a scalar at depth 0; else a dict, list or tuple of values of depth
+    # depth - 1, one of them an empty container, so every depth has one
+    if depth == 0:
+        return json_scalars
+    members = st.builds(
+        lambda xs, empty, at: [*xs[:at], empty, *xs[at:]],
+        st.lists(json_nested(depth - 1), max_size=3),
+        EMPTY_CONTAINERS,
+        st.integers(0, 3),
+    )
+    keys = st.lists(json_text, min_size=4, max_size=4, unique=True)
+    return st.one_of(
+        members,
+        members.map(tuple),
+        st.builds(lambda ks, vs: dict(zip(ks, vs)), keys, members),
+    )
+
+
+def written(obj, pad):
+    # obj through the CLI's writer: a dict or list by _json_object or
+    # _json_array, each member (and a scalar obj) by _json_value
+    if isinstance(obj, dict):
+        return cli._json_object(cli._json_heads(obj, pad), obj.values(), pad)
+    if isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        return cli._json_array([cli._json_value(v, inner) for v in obj], pad)
+    return cli._json_value(obj, pad)
+
+
+@small
+@given(
+    st.one_of(EMPTY_CONTAINERS, st.integers(0, 3).flatmap(json_nested)),
+    st.integers(0, 3),
+)
+def test_json_writer_matches_json_dumps(obj, depth):
+    # obj placed `depth` one-element lists deep: the writer's text for it
+    # is what json.dumps(..., indent=2) writes between the wrappers
+    wrapped = obj
+    for _ in range(depth):
+        wrapped = [wrapped]
+    pads = ["  " * i for i in range(depth)]
+    head = "".join(p + "[\n" for p in pads) + "  " * depth
+    tail = "".join("\n" + p + "]" for p in reversed(pads))
+    expected = json.dumps(wrapped, indent=2, default=format_rational)
+    assert head + written(obj, "  " * depth) + tail == expected
